@@ -20,12 +20,15 @@ hot paths behind a *bit-exact* dispatch seam with three tiers:
     shard_min_elements` elements a call falls through to numpy.
 
 ``compiled``
-    ctypes-loaded C implementations of the four Table-3 butterfly
-    stage-kernel families and the CRT tensor pass
-    (:mod:`repro.poly.backends.compiled`), built lazily with ``cc -O3``
-    and cached by source hash.  When no toolchain is present the tier
-    degrades to numpy with a single :class:`BackendFallbackWarning` per
-    process — never an error, never a per-call warning.
+    ctypes-loaded C implementations (:mod:`repro.poly.backends.compiled`)
+    of the batched NTT for the four Table-3 butterfly families, the
+    NTT-domain pointwise product, the key-switch inner-product MAC and
+    its terminal fold (reached through the engine's impl by
+    :class:`~repro.poly.lazy.LazyAccumulator`), and the CRT scale and
+    tensor passes, built lazily with ``cc -O3`` and cached by source
+    hash.  When no toolchain is present the tier degrades to numpy with
+    a single :class:`BackendFallbackWarning` per process — never an
+    error, never a per-call warning.
 
 Tier selection follows the same precedence discipline as ``checked``
 (:func:`repro.analysis.sanitizer.checked_mode`): an explicit
@@ -104,6 +107,10 @@ def make_ntt_impl(engine, tier: str):
     exposes ``forward(a, out)`` / ``inverse(a_hat, out)`` /
     ``pointwise_prepared(a_hat, prepared)``, each returning the result
     array or ``None`` to fall through to the numpy kernels per call.
+    An impl may also offer ``mac(acc, a, b, b_shoup)`` and
+    ``fold(acc, out, keep=)``, the key-switch inner product that
+    :class:`~repro.poly.lazy.LazyAccumulator` dispatches with the same
+    per-call ``None`` fall-through.
     """
     if tier == "compiled":
         from repro.poly.backends.compiled import make_compiled_ntt

@@ -1,7 +1,8 @@
 /* Compiled backend tier: the four Table-3 butterfly stage-kernel
- * families (Barrett / Montgomery / Shoup / SMR) and the CRT tensor pass
- * of fast basis conversion, as plain C over the same precomputed tables
- * the numpy kernels use.
+ * families (Barrett / Montgomery / Shoup / SMR), the NTT-domain
+ * pointwise product, the key-switch inner-product MAC and its terminal
+ * fold, and the CRT tensor pass of fast basis conversion, as plain C
+ * over the same precomputed tables the numpy kernels use.
  *
  * Bit-exactness contract: every transform output is the *canonical
  * exact* negacyclic NTT (or inverse) over the same bit-reversed twiddle
@@ -11,7 +12,10 @@
  * stage invariants nevertheless mirror the numpy kernels exactly
  * (canonical [0, q) state for the Shoup / Montgomery / SMR families,
  * Harvey 2q-lazy [0, 2q) state for Barrett) so that checked mode
- * asserts the very same certified per-stage bounds.
+ * asserts the very same certified per-stage bounds.  The pointwise,
+ * MAC and fold kernels go further: they evaluate the numpy reducers'
+ * formulas step for step in the same wrapping 64-bit arithmetic, so
+ * even the lazy accumulator contents match bit for bit.
  *
  * Checked mode: with `bound` non-NULL, each (limb, stage) pass scans
  * the live row against bound[limb] — the caller passes the engine's
@@ -21,6 +25,13 @@
  * n^-1 scale), limb, coefficient} through `err`, and the function
  * returns 1.  The Python wrapper raises SanitizerError from that
  * tuple.
+ *
+ * Range check: transforms and pointwise products read the caller's
+ * uint64 limb matrix directly and return 2 as soon as a row holds a
+ * coefficient >= q (the wrapper locates the offender and raises the
+ * numpy tier's ParameterError).  A transform stages each limb row into
+ * 32-bit state on load and widens it back on store, so `dst` may alias
+ * `src`.
  *
  * Layout: data is one contiguous (L, n) row-major matrix; twiddle
  * tables are contiguous (L, n) in the backend-prepared dtype; per-limb
@@ -32,6 +43,7 @@
 #include <stdint.h>
 
 #define EXPORT __attribute__((visibility("default")))
+#define LO32 0xffffffffu
 
 /* -- checked-mode row scans ---------------------------------------- */
 
@@ -70,6 +82,34 @@ static int scan64(const uint64_t *row, int64_t n, uint64_t bound,
     return 0;
 }
 
+/* -- range-checked row staging --------------------------------------- */
+
+/* Load one uint64 limb row into 32-bit transform state. */
+static int load32(const uint64_t *src, uint32_t *row, int64_t n,
+                  uint64_t q) {
+    uint64_t over = 0;
+    for (int64_t k = 0; k < n; ++k) {
+        over |= (uint64_t)(src[k] >= q);
+        row[k] = (uint32_t)src[k];
+    }
+    return over ? 2 : 0;
+}
+
+static void store32(const uint32_t *row, uint64_t *dst, int64_t n) {
+    for (int64_t k = 0; k < n; ++k) dst[k] = row[k];
+}
+
+/* Barrett state is uint64 already: check, and copy unless in place. */
+static int load64(const uint64_t *src, uint64_t *row, int64_t n,
+                  uint64_t q) {
+    uint64_t over = 0;
+    for (int64_t k = 0; k < n; ++k) over |= (uint64_t)(src[k] >= q);
+    if (over) return 2;
+    if (src != row)
+        for (int64_t k = 0; k < n; ++k) row[k] = src[k];
+    return 0;
+}
+
 /* -- Shoup family ---------------------------------------------------
  * Twiddles: w (uint32 canonical) with companion w' = floor(w<<32 / q)
  * (uint64 carrier).  One 64-bit high product per multiply; state stays
@@ -82,14 +122,15 @@ static inline uint32_t shoup_mul(uint32_t v, uint32_t w, uint64_t wsh,
     return r < q ? r : r - q;
 }
 
-EXPORT int ntt_fwd_shoup(uint32_t *x, const uint32_t *w, const uint64_t *wsh,
-                         const uint32_t *q, int64_t L, int64_t n, const uint64_t *bound,
-                         uint64_t *err) {
+EXPORT int ntt_fwd_shoup(const uint64_t *src, uint64_t *dst, uint32_t *row,
+                         const uint32_t *w, const uint64_t *wsh,
+                         const uint32_t *q, int64_t L, int64_t n,
+                         const uint64_t *bound, uint64_t *err) {
     for (int64_t l = 0; l < L; ++l) {
         uint32_t ql = q[l];
-        uint32_t *row = x + l * n;
         const uint32_t *wl = w + l * n;
         const uint64_t *wshl = wsh + l * n;
+        if (load32(src + l * n, row, n, ql)) return 2;
         for (int64_t m = 1, t = n >> 1; m < n; m <<= 1, t >>= 1) {
             for (int64_t g = 0; g < m; ++g) {
                 uint32_t tw = wl[m + g];
@@ -109,19 +150,21 @@ EXPORT int ntt_fwd_shoup(uint32_t *x, const uint32_t *w, const uint64_t *wsh,
             }
             if (bound && scan32(row, n, b32(bound[l]), m, l, err)) return 1;
         }
+        store32(row, dst + l * n, n);
     }
     return 0;
 }
 
-EXPORT int ntt_inv_shoup(uint32_t *x, const uint32_t *w, const uint64_t *wsh,
+EXPORT int ntt_inv_shoup(const uint64_t *src, uint64_t *dst, uint32_t *row,
+                         const uint32_t *w, const uint64_t *wsh,
                          const uint32_t *ninv, const uint64_t *ninvsh,
-                         const uint32_t *q, int64_t L, int64_t n, const uint64_t *bound,
-                         uint64_t *err) {
+                         const uint32_t *q, int64_t L, int64_t n,
+                         const uint64_t *bound, uint64_t *err) {
     for (int64_t l = 0; l < L; ++l) {
         uint32_t ql = q[l];
-        uint32_t *row = x + l * n;
         const uint32_t *wl = w + l * n;
         const uint64_t *wshl = wsh + l * n;
+        if (load32(src + l * n, row, n, ql)) return 2;
         for (int64_t m = n, t = 1; m > 1; m >>= 1, t <<= 1) {
             int64_t h = m >> 1;
             for (int64_t g = 0; g < h; ++g) {
@@ -145,6 +188,7 @@ EXPORT int ntt_inv_shoup(uint32_t *x, const uint32_t *w, const uint64_t *wsh,
         uint64_t nvsh = ninvsh[l];
         for (int64_t k = 0; k < n; ++k) row[k] = shoup_mul(row[k], nv, nvsh, ql);
         if (bound && scan32(row, n, b32(bound[l]), 0, l, err)) return 1;
+        store32(row, dst + l * n, n);
     }
     return 0;
 }
@@ -153,21 +197,27 @@ EXPORT int ntt_inv_shoup(uint32_t *x, const uint32_t *w, const uint64_t *wsh,
  * Twiddles in Montgomery form (w * 2^32 mod q, uint64 carrier); the
  * butterfly reduce cancels the 2^-32, keeping coefficients plain. */
 
+/* (p + mullo32(p, -q^-1) * q) >> 32, Montgomery's lazy [0, 2q) output
+ * for p < q * 2^32 (the numpy reducer's formula, wrapping alike). */
+static inline uint64_t mont_red(uint64_t p, uint64_t q, uint32_t qinv_neg) {
+    uint32_t m = (uint32_t)p * qinv_neg; /* mullo32 */
+    return (p + (uint64_t)m * q) >> 32;
+}
+
 static inline uint32_t mont_mul(uint32_t v, uint64_t twf, uint32_t q,
                                 uint32_t qinv_neg) {
-    uint64_t p = (uint64_t)v * twf;                       /* < q^2 * 2 */
-    uint32_t m = (uint32_t)p * qinv_neg;                  /* mullo32 */
-    uint32_t t = (uint32_t)((p + (uint64_t)m * q) >> 32); /* < 2q */
+    uint32_t t = (uint32_t)mont_red((uint64_t)v * twf, q, qinv_neg);
     return t < q ? t : t - q;
 }
 
-EXPORT int ntt_fwd_mont(uint32_t *x, const uint64_t *w, const uint32_t *q,
+EXPORT int ntt_fwd_mont(const uint64_t *src, uint64_t *dst, uint32_t *row,
+                        const uint64_t *w, const uint32_t *q,
                         const uint32_t *qinv, int64_t L, int64_t n,
                         const uint64_t *bound, uint64_t *err) {
     for (int64_t l = 0; l < L; ++l) {
         uint32_t ql = q[l], qi = qinv[l];
-        uint32_t *row = x + l * n;
         const uint64_t *wl = w + l * n;
+        if (load32(src + l * n, row, n, ql)) return 2;
         for (int64_t m = 1, t = n >> 1; m < n; m <<= 1, t >>= 1) {
             for (int64_t g = 0; g < m; ++g) {
                 uint64_t tw = wl[m + g];
@@ -186,17 +236,19 @@ EXPORT int ntt_fwd_mont(uint32_t *x, const uint64_t *w, const uint32_t *q,
             }
             if (bound && scan32(row, n, b32(bound[l]), m, l, err)) return 1;
         }
+        store32(row, dst + l * n, n);
     }
     return 0;
 }
 
-EXPORT int ntt_inv_mont(uint32_t *x, const uint64_t *w, const uint64_t *ninv,
+EXPORT int ntt_inv_mont(const uint64_t *src, uint64_t *dst, uint32_t *row,
+                        const uint64_t *w, const uint64_t *ninv,
                         const uint32_t *q, const uint32_t *qinv, int64_t L,
                         int64_t n, const uint64_t *bound, uint64_t *err) {
     for (int64_t l = 0; l < L; ++l) {
         uint32_t ql = q[l], qi = qinv[l];
-        uint32_t *row = x + l * n;
         const uint64_t *wl = w + l * n;
+        if (load32(src + l * n, row, n, ql)) return 2;
         for (int64_t m = n, t = 1; m > 1; m >>= 1, t <<= 1) {
             int64_t h = m >> 1;
             for (int64_t g = 0; g < h; ++g) {
@@ -218,6 +270,7 @@ EXPORT int ntt_inv_mont(uint32_t *x, const uint64_t *w, const uint64_t *ninv,
         uint64_t nv = ninv[l];
         for (int64_t k = 0; k < n; ++k) row[k] = mont_mul(row[k], nv, ql, qi);
         if (bound && scan32(row, n, b32(bound[l]), 0, l, err)) return 1;
+        store32(row, dst + l * n, n);
     }
     return 0;
 }
@@ -227,24 +280,33 @@ EXPORT int ntt_inv_mont(uint32_t *x, const uint64_t *w, const uint64_t *ninv,
  * (-q, q)); each Alg. 2 output is canonicalized into [0, q) so the
  * butterfly combines run in uint32, exactly like the numpy kernel. */
 
+/* Alg. 2 on a 64-bit product: x_hi - mulhi32(mullo32(x_lo, m), q), in
+ * (-q, q) for |p| < q * 2^31.  Every step wraps like the numpy
+ * reducer's int64 pipeline, so out-of-domain inputs agree bit for bit. */
+static inline int64_t smr_red(int64_t p, int64_t q, uint32_t m) {
+    int32_t z = (int32_t)((uint32_t)p * m); /* signed mullo32 wrap */
+    return (p >> 32) - (((int64_t)z * q) >> 32);
+}
+
+/* Product of two int64 lanes with numpy's wrapping (no signed UB). */
+static inline int64_t wrap_mul(int64_t a, int64_t b) {
+    return (int64_t)((uint64_t)a * (uint64_t)b);
+}
+
 static inline uint32_t smr_mul(uint32_t v, int64_t twf, uint32_t q,
                                uint32_t m) {
-    int64_t p = (int64_t)v * twf; /* |p| < q * 2^31: Alg. 2's domain */
-    int64_t x_hi = p >> 32;
-    uint32_t x_lo = (uint32_t)p;
-    int32_t z = (int32_t)(x_lo * m); /* signed mullo32 wrap */
-    int64_t hi = ((int64_t)z * (int64_t)q) >> 32;
-    int64_t t = x_hi - hi; /* in (-q, q) */
+    int64_t t = smr_red((int64_t)v * twf, q, m); /* |v*twf| < q * 2^31 */
     return t < 0 ? (uint32_t)(t + q) : (uint32_t)t;
 }
 
-EXPORT int ntt_fwd_smr(uint32_t *x, const int64_t *w, const uint32_t *q,
-                       const uint32_t *m, int64_t L, int64_t n, const uint64_t *bound,
+EXPORT int ntt_fwd_smr(const uint64_t *src, uint64_t *dst, uint32_t *row,
+                       const int64_t *w, const uint32_t *q, const uint32_t *m,
+                       int64_t L, int64_t n, const uint64_t *bound,
                        uint64_t *err) {
     for (int64_t l = 0; l < L; ++l) {
         uint32_t ql = q[l], ml = m[l];
-        uint32_t *row = x + l * n;
         const int64_t *wl = w + l * n;
+        if (load32(src + l * n, row, n, ql)) return 2;
         for (int64_t mm = 1, t = n >> 1; mm < n; mm <<= 1, t >>= 1) {
             for (int64_t g = 0; g < mm; ++g) {
                 int64_t tw = wl[mm + g];
@@ -263,17 +325,19 @@ EXPORT int ntt_fwd_smr(uint32_t *x, const int64_t *w, const uint32_t *q,
             }
             if (bound && scan32(row, n, b32(bound[l]), mm, l, err)) return 1;
         }
+        store32(row, dst + l * n, n);
     }
     return 0;
 }
 
-EXPORT int ntt_inv_smr(uint32_t *x, const int64_t *w, const int64_t *ninv,
+EXPORT int ntt_inv_smr(const uint64_t *src, uint64_t *dst, uint32_t *row,
+                       const int64_t *w, const int64_t *ninv,
                        const uint32_t *q, const uint32_t *m, int64_t L,
                        int64_t n, const uint64_t *bound, uint64_t *err) {
     for (int64_t l = 0; l < L; ++l) {
         uint32_t ql = q[l], ml = m[l];
-        uint32_t *row = x + l * n;
         const int64_t *wl = w + l * n;
+        if (load32(src + l * n, row, n, ql)) return 2;
         for (int64_t mm = n, t = 1; mm > 1; mm >>= 1, t <<= 1) {
             int64_t h = mm >> 1;
             for (int64_t g = 0; g < h; ++g) {
@@ -295,6 +359,7 @@ EXPORT int ntt_inv_smr(uint32_t *x, const int64_t *w, const int64_t *ninv,
         int64_t nv = ninv[l];
         for (int64_t k = 0; k < n; ++k) row[k] = smr_mul(row[k], nv, ql, ml);
         if (bound && scan32(row, n, b32(bound[l]), 0, l, err)) return 1;
+        store32(row, dst + l * n, n);
     }
     return 0;
 }
@@ -303,7 +368,8 @@ EXPORT int ntt_inv_smr(uint32_t *x, const int64_t *w, const int64_t *ninv,
  * Harvey-style 2q-lazy uint64 state, exactly the numpy kernel's
  * schedule: mu = floor(2^64 / q) split into 32-bit halves (same dropped
  * carries, so even the lazy intermediates match), one fold per
- * butterfly output into [0, 2q), exit fold to canonical. */
+ * butterfly output into [0, 2q), exit fold to canonical.  The state is
+ * the destination row itself (no staging buffer). */
 
 static inline uint64_t barrett_mul(uint64_t v, uint64_t w, uint64_t q,
                                    uint64_t q2, uint64_t mu_hi,
@@ -317,14 +383,16 @@ static inline uint64_t barrett_mul(uint64_t v, uint64_t w, uint64_t q,
     return r < q2 ? r : r - q2;
 }
 
-EXPORT int ntt_fwd_barrett(uint64_t *x, const uint64_t *w, const uint64_t *q,
+EXPORT int ntt_fwd_barrett(const uint64_t *src, uint64_t *dst,
+                           const uint64_t *w, const uint64_t *q,
                            const uint64_t *mu, int64_t L, int64_t n,
                            const uint64_t *bound, uint64_t *err) {
     for (int64_t l = 0; l < L; ++l) {
         uint64_t ql = q[l], q2 = 2 * ql;
         uint64_t mu_hi = mu[l] >> 32, mu_lo = mu[l] & 0xffffffffu;
-        uint64_t *row = x + l * n;
+        uint64_t *row = dst + l * n;
         const uint64_t *wl = w + l * n;
+        if (load64(src + l * n, row, n, ql)) return 2;
         for (int64_t m = 1, t = n >> 1; m < n; m <<= 1, t >>= 1) {
             for (int64_t g = 0; g < m; ++g) {
                 uint64_t tw = wl[m + g];
@@ -351,15 +419,16 @@ EXPORT int ntt_fwd_barrett(uint64_t *x, const uint64_t *w, const uint64_t *q,
     return 0;
 }
 
-EXPORT int ntt_inv_barrett(uint64_t *x, const uint64_t *w,
-                           const uint64_t *ninv, const uint64_t *q,
-                           const uint64_t *mu, int64_t L, int64_t n,
-                           const uint64_t *bound, uint64_t *err) {
+EXPORT int ntt_inv_barrett(const uint64_t *src, uint64_t *dst,
+                           const uint64_t *w, const uint64_t *ninv,
+                           const uint64_t *q, const uint64_t *mu, int64_t L,
+                           int64_t n, const uint64_t *bound, uint64_t *err) {
     for (int64_t l = 0; l < L; ++l) {
         uint64_t ql = q[l], q2 = 2 * ql;
         uint64_t mu_hi = mu[l] >> 32, mu_lo = mu[l] & 0xffffffffu;
-        uint64_t *row = x + l * n;
+        uint64_t *row = dst + l * n;
         const uint64_t *wl = w + l * n;
+        if (load64(src + l * n, row, n, ql)) return 2;
         for (int64_t m = n, t = 1; m > 1; m >>= 1, t <<= 1) {
             int64_t h = m >> 1;
             for (int64_t g = 0; g < h; ++g) {
@@ -385,6 +454,209 @@ EXPORT int ntt_inv_barrett(uint64_t *x, const uint64_t *w,
         for (int64_t k = 0; k < n; ++k) { /* exit fold to canonical */
             uint64_t s = row[k];
             row[k] = s < ql ? s : s - ql;
+        }
+    }
+    return 0;
+}
+
+/* -- NTT-domain pointwise product --------------------------------------
+ * out = a * b mod q, canonical, against a prepared operand b (the
+ * backend's prepare_twiddles form: plain for Barrett, Montgomery form
+ * for the two Montgomery reducers, value + companion for Shoup).  `a` is
+ * range-checked row by row; each product is the numpy backend's
+ * mul + strict fold, step for step. */
+
+static inline uint64_t shoup_lazy(uint64_t a, uint64_t w, uint64_t wsh,
+                                  uint64_t q) {
+    uint64_t hi = ((a & LO32) * (wsh & LO32)) >> 32; /* mulhi32(a, w') */
+    return (a * w - hi * q) & LO32;                   /* in [0, 2q) */
+}
+
+EXPORT int pw_barrett(const uint64_t *a, const uint64_t *b,
+                      const uint64_t *q, const uint64_t *mu, int64_t L,
+                      int64_t n, uint64_t *out) {
+    for (int64_t l = 0; l < L; ++l) {
+        uint64_t ql = q[l], q2 = 2 * ql;
+        uint64_t mu_hi = mu[l] >> 32, mu_lo = mu[l] & LO32;
+        const uint64_t *al = a + l * n, *bl = b + l * n;
+        uint64_t *ol = out + l * n, over = 0;
+        for (int64_t k = 0; k < n; ++k) {
+            over |= (uint64_t)(al[k] >= ql);
+            uint64_t r = barrett_mul(al[k], bl[k], ql, q2, mu_hi, mu_lo);
+            ol[k] = r < ql ? r : r - ql;
+        }
+        if (over) return 2;
+    }
+    return 0;
+}
+
+EXPORT int pw_mont(const uint64_t *a, const uint64_t *b, const uint64_t *q,
+                   const uint32_t *qinv, int64_t L, int64_t n, uint64_t *out) {
+    for (int64_t l = 0; l < L; ++l) {
+        uint64_t ql = q[l];
+        uint32_t qi = qinv[l];
+        const uint64_t *al = a + l * n, *bl = b + l * n;
+        uint64_t *ol = out + l * n, over = 0;
+        for (int64_t k = 0; k < n; ++k) {
+            over |= (uint64_t)(al[k] >= ql);
+            uint64_t t = mont_red(al[k] * bl[k], ql, qi);
+            ol[k] = t < ql ? t : t - ql;
+        }
+        if (over) return 2;
+    }
+    return 0;
+}
+
+EXPORT int pw_shoup(const uint64_t *a, const uint64_t *w, const uint64_t *wsh,
+                    const uint64_t *q, int64_t L, int64_t n, uint64_t *out) {
+    for (int64_t l = 0; l < L; ++l) {
+        uint64_t ql = q[l];
+        const uint64_t *al = a + l * n, *wl = w + l * n, *sl = wsh + l * n;
+        uint64_t *ol = out + l * n, over = 0;
+        for (int64_t k = 0; k < n; ++k) {
+            over |= (uint64_t)(al[k] >= ql);
+            uint64_t r = shoup_lazy(al[k], wl[k], sl[k], ql);
+            ol[k] = r < ql ? r : r - ql;
+        }
+        if (over) return 2;
+    }
+    return 0;
+}
+
+EXPORT int pw_smr(const uint64_t *a, const int64_t *b, const uint64_t *q,
+                  const uint32_t *m, int64_t L, int64_t n, uint64_t *out) {
+    for (int64_t l = 0; l < L; ++l) {
+        uint64_t ql = q[l];
+        uint32_t ml = m[l];
+        const uint64_t *al = a + l * n;
+        const int64_t *bl = b + l * n;
+        uint64_t *ol = out + l * n, over = 0;
+        for (int64_t k = 0; k < n; ++k) {
+            over |= (uint64_t)(al[k] >= ql);
+            int64_t t = smr_red(wrap_mul((int64_t)al[k], bl[k]), ql, ml);
+            ol[k] = (uint64_t)(t < 0 ? t + (int64_t)ql : t);
+        }
+        if (over) return 2;
+    }
+    return 0;
+}
+
+/* -- key-switch inner product: fused MAC and terminal fold ------------
+ * acc += a * b per lane, the LazyAccumulator `reduced` strategy (each
+ * product reduced into the reducer's lazy range, the fold deferred) or
+ * SMR `raw` (the plain 64-bit product, the reduction deferred).  `a` is
+ * the uint64 digit as stored (read as int64 by the signed kernels, the
+ * same bits numpy's astype gives), `b` the prepared key.  The caller
+ * charges the worst-case bound first; the sums wrap exactly like numpy's
+ * in-place adds, so the accumulator contents match bit for bit. */
+
+EXPORT int mac_barrett(uint64_t *acc, const uint64_t *a, const uint64_t *b,
+                       const uint64_t *q, const uint64_t *mu, int64_t L,
+                       int64_t n) {
+    for (int64_t l = 0; l < L; ++l) {
+        uint64_t ql = q[l], q2 = 2 * ql;
+        uint64_t mu_hi = mu[l] >> 32, mu_lo = mu[l] & LO32;
+        uint64_t *cl = acc + l * n;
+        const uint64_t *al = a + l * n, *bl = b + l * n;
+        for (int64_t k = 0; k < n; ++k)
+            cl[k] += barrett_mul(al[k], bl[k], ql, q2, mu_hi, mu_lo);
+    }
+    return 0;
+}
+
+EXPORT int mac_mont(uint64_t *acc, const uint64_t *a, const uint64_t *b,
+                    const uint64_t *q, const uint32_t *qinv, int64_t L,
+                    int64_t n) {
+    for (int64_t l = 0; l < L; ++l) {
+        uint64_t ql = q[l];
+        uint32_t qi = qinv[l];
+        uint64_t *cl = acc + l * n;
+        const uint64_t *al = a + l * n, *bl = b + l * n;
+        for (int64_t k = 0; k < n; ++k) cl[k] += mont_red(al[k] * bl[k], ql, qi);
+    }
+    return 0;
+}
+
+EXPORT int mac_shoup(uint64_t *acc, const uint64_t *a, const uint64_t *w,
+                     const uint64_t *wsh, const uint64_t *q, int64_t L,
+                     int64_t n) {
+    for (int64_t l = 0; l < L; ++l) {
+        uint64_t ql = q[l];
+        uint64_t *cl = acc + l * n;
+        const uint64_t *al = a + l * n, *wl = w + l * n, *sl = wsh + l * n;
+        for (int64_t k = 0; k < n; ++k)
+            cl[k] += shoup_lazy(al[k], wl[k], sl[k], ql);
+    }
+    return 0;
+}
+
+EXPORT int mac_smr(int64_t *acc, const int64_t *a, const int64_t *b,
+                   const uint64_t *q, const uint32_t *m, int64_t L,
+                   int64_t n) {
+    for (int64_t l = 0; l < L; ++l) {
+        int64_t ql = (int64_t)q[l];
+        uint32_t ml = m[l];
+        uint64_t *cl = (uint64_t *)(acc + l * n);
+        const int64_t *al = a + l * n, *bl = b + l * n;
+        for (int64_t k = 0; k < n; ++k)
+            cl[k] += (uint64_t)smr_red(wrap_mul(al[k], bl[k]), ql, ml);
+    }
+    return 0;
+}
+
+EXPORT int mac_smr_raw(int64_t *acc, const int64_t *a, const int64_t *b,
+                       int64_t L, int64_t n) {
+    uint64_t *c = (uint64_t *)acc;
+    for (int64_t k = 0; k < L * n; ++k) c[k] += (uint64_t)wrap_mul(a[k], b[k]);
+    return 0;
+}
+
+/* Exact x mod q via mu = floor(2^64 / q): x*mu / 2^64 > x/q - 1, so the
+ * quotient estimate is at most one short and r < 2q before the fold. */
+static inline uint64_t mod_u64(uint64_t x, uint64_t q, uint64_t mu) {
+    uint64_t qh = (uint64_t)(((unsigned __int128)x * mu) >> 64);
+    uint64_t r = x - qh * q;
+    return r >= q ? r - q : r;
+}
+
+/* Floor-mod of a signed lane into [0, q), numpy's `%` for q > 0. */
+static inline uint64_t floormod_i64(int64_t x, uint64_t q, uint64_t mu) {
+    if (x >= 0) return mod_u64((uint64_t)x, q, mu);
+    uint64_t r = mod_u64(0 - (uint64_t)x, q, mu);
+    return r ? q - r : 0;
+}
+
+/* Terminal fold: out = acc mod q (canonical).  With `keep` the residues
+ * are also written back into acc, the state numpy's in-place remainder
+ * leaves behind (fold_into); without it acc is untouched (fold). */
+EXPORT int fold_u64(uint64_t *acc, const uint64_t *q, const uint64_t *mu,
+                    int64_t L, int64_t n, uint64_t *out, int64_t keep) {
+    for (int64_t l = 0; l < L; ++l) {
+        uint64_t ql = q[l], mul = mu[l];
+        uint64_t *cl = acc + l * n, *ol = out + l * n;
+        for (int64_t k = 0; k < n; ++k) {
+            uint64_t r = mod_u64(cl[k], ql, mul);
+            ol[k] = r;
+            if (keep) cl[k] = r;
+        }
+    }
+    return 0;
+}
+
+/* Signed fold; `raw` first applies the one deferred Alg. 2 reduction. */
+EXPORT int fold_i64(int64_t *acc, const uint64_t *q, const uint64_t *mu,
+                    const uint32_t *m, int64_t raw, int64_t L, int64_t n,
+                    uint64_t *out, int64_t keep) {
+    for (int64_t l = 0; l < L; ++l) {
+        uint64_t ql = q[l], mul = mu[l];
+        uint32_t ml = m[l];
+        int64_t *cl = acc + l * n;
+        uint64_t *ol = out + l * n;
+        for (int64_t k = 0; k < n; ++k) {
+            int64_t x = raw ? smr_red(cl[k], (int64_t)ql, ml) : cl[k];
+            uint64_t r = floormod_i64(x, ql, mul);
+            ol[k] = r;
+            if (keep) cl[k] = (int64_t)r;
         }
     }
     return 0;

@@ -1,10 +1,21 @@
-"""Compiled backend tier: ctypes-loaded C stage kernels and CRT pass.
+"""Compiled backend tier: ctypes-loaded C kernels for the hot paths.
 
-The C source (``_kernels.c``, shipped next to this module) implements
-the four Table-3 butterfly stage-kernel families and the basis-conversion
-CRT tensor pass over exactly the tables the numpy kernels use, so the
-outputs are bit-identical by the canonical-exactness argument in the
-package docstring.  The shared library is built lazily on first use with
+The C source (``_kernels.c``, shipped next to this module) runs, over
+exactly the tables and reducer constants the numpy kernels use:
+
+* the batched NTT forward / inverse for the four Table-3 butterfly
+  families, reading and writing the caller's uint64 limb matrix (each
+  row is range-checked and staged to 32-bit state inside the kernel);
+* the NTT-domain pointwise product against a prepared operand;
+* the key-switch inner-product MAC — one fused kernel per reducer for
+  :class:`~repro.poly.lazy.LazyAccumulator`'s ``reduced`` strategy plus
+  SMR ``raw`` — and its terminal ``fold`` / ``fold_into``;
+* the basis-conversion scale step and CRT tensor pass.
+
+Outputs are bit-identical by the canonical-exactness argument in the
+package docstring; the MAC and fold also replay the numpy reducers'
+wrapping arithmetic step for step, so even the lazy accumulator contents
+match.  The shared library is built lazily on first use with
 whatever C compiler is around (``$CC``, else ``cc``/``gcc``/``clang``)
 and cached by source hash under ``$REPRO_KERNEL_CACHE`` (default: a
 per-user directory in the system tempdir), so one build serves every
@@ -20,9 +31,9 @@ re-scans the live row against the certified stage bound (canonical
 ``q-1`` for the Shoup / Montgomery / SMR families, Harvey-lazy ``2q-1``
 for Barrett) and a violation surfaces as the same
 :class:`~repro.errors.SanitizerError` shape the numpy kernels raise.
-The converter is the one exception: under ``checked`` it falls through
-to the numpy path so the LazyAccumulator's fold-soundness
-instrumentation (not just the output bound) stays active.
+The converter and the MAC / fold are the exceptions: under ``checked``
+they fall through to the numpy path so the LazyAccumulator's
+fold-soundness instrumentation (not just the output bound) stays active.
 """
 
 from __future__ import annotations
@@ -101,6 +112,44 @@ def _build_lib() -> Path:
     return so
 
 
+_P, _I = ctypes.c_void_p, ctypes.c_int64
+#: C ABI of every exported kernel: pointer arguments, then the int64
+#: dims and flags, in ``_kernels.c`` order
+_SIGNATURES = {
+    "ntt_fwd_shoup": [_P] * 6 + [_I, _I, _P, _P],
+    "ntt_inv_shoup": [_P] * 8 + [_I, _I, _P, _P],
+    "ntt_fwd_mont": [_P] * 6 + [_I, _I, _P, _P],
+    "ntt_inv_mont": [_P] * 7 + [_I, _I, _P, _P],
+    "ntt_fwd_smr": [_P] * 6 + [_I, _I, _P, _P],
+    "ntt_inv_smr": [_P] * 7 + [_I, _I, _P, _P],
+    "ntt_fwd_barrett": [_P] * 5 + [_I, _I, _P, _P],
+    "ntt_inv_barrett": [_P] * 6 + [_I, _I, _P, _P],
+    "pw_barrett": [_P] * 4 + [_I, _I, _P],
+    "pw_mont": [_P] * 4 + [_I, _I, _P],
+    "pw_shoup": [_P] * 4 + [_I, _I, _P],
+    "pw_smr": [_P] * 4 + [_I, _I, _P],
+    "mac_barrett": [_P] * 5 + [_I, _I],
+    "mac_mont": [_P] * 5 + [_I, _I],
+    "mac_shoup": [_P] * 5 + [_I, _I],
+    "mac_smr": [_P] * 5 + [_I, _I],
+    "mac_smr_raw": [_P] * 3 + [_I, _I],
+    "fold_u64": [_P] * 3 + [_I, _I, _P, _I],
+    "fold_i64": [_P] * 4 + [_I, _I, _I, _P, _I],
+    "crt_convert": [_P] * 8 + [_I, _I, _I, _P],
+    "crt_scale": [_P] * 4 + [_I, _I, _P],
+}
+
+
+def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
+    """Pin every kernel's argument and return types, so a call with the
+    wrong arity raises instead of reading garbage registers."""
+    for name, argtypes in _SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.argtypes = argtypes
+        fn.restype = ctypes.c_int
+    return lib
+
+
 def get_lib() -> ctypes.CDLL | None:
     """The kernel library, building it on first call; ``None`` if absent.
 
@@ -114,7 +163,7 @@ def get_lib() -> ctypes.CDLL | None:
     if _FAILED:
         return None
     try:
-        _LIB = ctypes.CDLL(str(_build_lib()))
+        _LIB = _declare(ctypes.CDLL(str(_build_lib())))
     except Exception as exc:  # noqa: BLE001 - any build/load failure degrades
         _FAILED = True
         _LIB = None
@@ -136,13 +185,33 @@ def _c(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
+def _lanes(a, shape) -> bool:
+    """Whether ``a`` is a C-ABI lane matrix: 64-bit ints, ``shape``, contiguous.
+
+    The MAC kernels read int64 and uint64 lanes alike (the same bits the
+    numpy reducers' ``astype`` casts produce); anything else — scalars,
+    broadcast columns, strided views — stays on the numpy path.
+    """
+    return (
+        isinstance(a, np.ndarray)
+        and a.shape == shape
+        and a.dtype.kind in "iu"
+        and a.dtype.itemsize == 8
+        and a.flags.c_contiguous
+    )
+
+
 class CompiledNtt:
     """C-kernel implementation bound to one :class:`BatchNTT` engine.
 
-    Holds contiguous casts of the engine's prepared twiddle tables in the
-    C ABI dtypes (built once per engine — ``take_rows``/``extend`` clones
-    get their own impl) plus one persistent state buffer, so a transform
-    is: range-check, one copy in, one C call, one copy out.
+    Holds contiguous casts of the engine's prepared twiddle tables and
+    reducer constants in the C ABI dtypes (built once per engine —
+    ``take_rows``/``extend`` clones get their own impl) plus one
+    ``n``-word row buffer the 32-bit transforms stage each limb through,
+    so a transform is one C call from the caller's uint64 matrix to the
+    uint64 result, range check included.  The same constants serve the
+    pointwise product and the key-switch MAC / fold that
+    :class:`~repro.poly.lazy.LazyAccumulator` dispatches here.
     """
 
     def __init__(self, engine, lib: ctypes.CDLL) -> None:
@@ -150,58 +219,71 @@ class CompiledNtt:
         self.lib = lib
         self.n = engine.n
         self.num_limbs = len(engine.primes)
+        self.shape = (self.num_limbs, self.n)
+        self.method = method = engine.method
         red = engine.backend.red
-        q64 = np.array(engine.primes, dtype=np.uint64)
+        q64 = _c(np.array(engine.primes, dtype=np.uint64))
         self._q_col = q64.reshape(-1, 1)
+        #: floor(2^64 / q) per limb, for the exact terminal fold
+        self._mu64 = _c(
+            np.array([(1 << 64) // q for q in engine.primes], dtype=np.uint64)
+        )
         self._err = np.zeros(4, dtype=np.uint64)
-        method = engine.method
+        self._row = None
         fwd, inv, ninv = engine._fwd, engine._inv, engine._n_inv
         if method == "barrett":
-            self._state = np.empty((self.num_limbs, self.n), np.uint64)
-            q = _c(q64)
             mu = _c(np.asarray(red.mu, dtype=np.uint64).reshape(-1))
-            self._fwd_call = (lib.ntt_fwd_barrett, (_c(fwd[0]), q, mu))
+            self._fwd_call = (lib.ntt_fwd_barrett, (_c(fwd[0]), q64, mu))
             self._inv_call = (
                 lib.ntt_inv_barrett,
-                (_c(inv[0]), _c(ninv[0].reshape(-1)), q, mu),
+                (_c(inv[0]), _c(ninv[0].reshape(-1)), q64, mu),
             )
-        else:
-            self._state = np.empty((self.num_limbs, self.n), np.uint32)
-            q32 = _c(q64.astype(np.uint32))
-            if method == "shoup":
-                nv = _c(ninv[0].reshape(-1).astype(np.uint32))
-                nvsh = _c(ninv[1].reshape(-1))
-                self._fwd_call = (
-                    lib.ntt_fwd_shoup,
-                    (_c(fwd[0].astype(np.uint32)), _c(fwd[1]), q32),
-                )
-                self._inv_call = (
-                    lib.ntt_inv_shoup,
-                    (_c(inv[0].astype(np.uint32)), _c(inv[1]), nv, nvsh, q32),
-                )
-            elif method == "montgomery":
-                qi = _c(np.asarray(red.q_inv_neg).reshape(-1).astype(np.uint32))
-                self._fwd_call = (lib.ntt_fwd_mont, (_c(fwd[0]), q32, qi))
-                self._inv_call = (
-                    lib.ntt_inv_mont,
-                    (_c(inv[0]), _c(ninv[0].reshape(-1)), q32, qi),
-                )
-            elif method == "smr":
-                m32 = _c(
-                    np.bitwise_and(
-                        np.asarray(red.m, dtype=np.int64).reshape(-1),
-                        np.int64(0xFFFFFFFF),
-                    ).astype(np.uint32)
-                )
-                self._fwd_call = (lib.ntt_fwd_smr, (_c(fwd[0]), q32, m32))
-                self._inv_call = (
-                    lib.ntt_inv_smr,
-                    (_c(inv[0]), _c(ninv[0].reshape(-1)), q32, m32),
-                )
-            else:  # pragma: no cover - BatchNTT validates the method first
-                raise ValueError(f"no compiled kernel for method {method!r}")
+            self._pw = (lib.pw_barrett, (np.uint64,), (q64, mu))
+            self._mac = (lib.mac_barrett, (q64, mu))
+            return
+        self._row = np.empty(self.n, np.uint32)
+        q32 = _c(q64.astype(np.uint32))
+        if method == "shoup":
+            nv = _c(ninv[0].reshape(-1).astype(np.uint32))
+            nvsh = _c(ninv[1].reshape(-1))
+            self._fwd_call = (
+                lib.ntt_fwd_shoup,
+                (_c(fwd[0].astype(np.uint32)), _c(fwd[1]), q32),
+            )
+            self._inv_call = (
+                lib.ntt_inv_shoup,
+                (_c(inv[0].astype(np.uint32)), _c(inv[1]), nv, nvsh, q32),
+            )
+            self._pw = (lib.pw_shoup, (np.uint64, np.uint64), (q64,))
+            self._mac = (lib.mac_shoup, (q64,))
+        elif method == "montgomery":
+            qi = _c(np.asarray(red.q_inv_neg).reshape(-1).astype(np.uint32))
+            self._fwd_call = (lib.ntt_fwd_mont, (_c(fwd[0]), q32, qi))
+            self._inv_call = (
+                lib.ntt_inv_mont,
+                (_c(inv[0]), _c(ninv[0].reshape(-1)), q32, qi),
+            )
+            self._pw = (lib.pw_mont, (np.uint64,), (q64, qi))
+            self._mac = (lib.mac_mont, (q64, qi))
+        elif method == "smr":
+            m32 = _c(
+                np.bitwise_and(
+                    np.asarray(red.m, dtype=np.int64).reshape(-1),
+                    np.int64(0xFFFFFFFF),
+                ).astype(np.uint32)
+            )
+            self._m32 = m32
+            self._fwd_call = (lib.ntt_fwd_smr, (_c(fwd[0]), q32, m32))
+            self._inv_call = (
+                lib.ntt_inv_smr,
+                (_c(inv[0]), _c(ninv[0].reshape(-1)), q32, m32),
+            )
+            self._pw = (lib.pw_smr, (np.int64,), (q64, m32))
+            self._mac = (lib.mac_smr, (q64, m32))
+        else:  # pragma: no cover - BatchNTT validates the method first
+            raise ValueError(f"no compiled kernel for method {method!r}")
 
-    def _run(self, call, direction: str) -> None:
+    def _run(self, call, direction: str, src, dst) -> None:
         fn, tables = call
         err = self._err
         err[:] = 0
@@ -214,34 +296,53 @@ class CompiledNtt:
             bound_col = np.ascontiguousarray(
                 np.asarray(kernel._bound_col, dtype=np.uint64).reshape(-1)
             )
+        staging = () if self._row is None else (_ptr(self._row),)
         rc = fn(
-            _ptr(self._state),
+            _ptr(src),
+            _ptr(dst),
+            *staging,
             *(_ptr(t) for t in tables),
-            ctypes.c_int64(self.num_limbs),
-            ctypes.c_int64(self.n),
+            *self.shape,
             ctypes.c_void_p(None) if bound_col is None else _ptr(bound_col),
             _ptr(err),
         )
+        if rc == 2:
+            raise _range_error(src, self._q_col)
         if rc:
             limb = int(err[2])
             bound = int(bound_col[limb])
             m = int(err[1])
             stage = f"{direction} stage m={m}" if m else "n^-1 scale"
             raise SanitizerError(
-                f"checked mode: {self.engine.method} NTT {stage} produced "
+                f"checked mode: {self.method} NTT {stage} produced "
                 f"{int(err[0])} outside [0, {bound}] at row {limb}, "
                 f"coefficient index {int(err[3])}"
             )
 
     def _transform(self, a, call, direction, out):
-        a = np.asarray(a, dtype=np.uint64)
-        if a.size and np.any(a >= self._q_col):
-            raise _range_error(a, self._q_col)
-        np.copyto(self._state, a, casting="unsafe")
-        self._run(call, direction)
-        if out is None:
-            return self._state.astype(np.uint64)
-        np.copyto(out, self._state, casting="unsafe")
+        """One C call from ``a`` to the result, range check included.
+
+        The kernel stages each limb row in and out itself, so ``out`` may
+        be ``a``; a partial overlap is the one case that needs a private
+        copy of the input first.  On a range error the rows of ``out``
+        before the offending limb may already hold their transforms.
+        """
+        src = np.ascontiguousarray(a, dtype=np.uint64)
+        direct = (
+            out is not None
+            and out.dtype == np.uint64
+            and out.flags.c_contiguous
+        )
+        dst = out if direct else np.empty(self.shape, np.uint64)
+        if (
+            dst.ctypes.data != src.ctypes.data
+            and np.may_share_memory(src, dst)
+        ):
+            src = src.copy()
+        self._run(call, direction, src, dst)
+        if out is None or direct:
+            return dst
+        np.copyto(out, dst, casting="unsafe")
         return out
 
     def forward(self, a, out=None):
@@ -251,7 +352,73 @@ class CompiledNtt:
         return self._transform(a_hat, self._inv_call, "inverse", out)
 
     def pointwise_prepared(self, a_hat, prepared):
-        return None  # the numpy pointwise pass is already a single mulmod
+        """``a_hat * b`` against a prepared operand, canonical, in C.
+
+        Returns ``None`` (numpy) unless every prepared part is a full
+        contiguous limb matrix in the backend's dtype.
+        """
+        fn, dtypes, consts = self._pw
+        if len(prepared) != len(dtypes) or not all(
+            _lanes(p, self.shape) and p.dtype == dt
+            for p, dt in zip(prepared, dtypes)
+        ):
+            return None
+        a = np.ascontiguousarray(a_hat, dtype=np.uint64)
+        out = np.empty(self.shape, np.uint64)
+        rc = fn(
+            _ptr(a),
+            *(_ptr(p) for p in prepared),
+            *(_ptr(c) for c in consts),
+            *self.shape,
+            _ptr(out),
+        )
+        if rc:
+            raise _range_error(a, self._q_col)
+        return out
+
+    def mac(self, acc, a, b, b_shoup):
+        """The fused C kernel for ``acc.acc += a * b``, or ``None``.
+
+        Returns a zero-argument call so the accumulator can charge its
+        worst-case bound *before* anything is written; ``None`` sends the
+        term down the numpy path (scalar, broadcast or strided operands).
+        ``acc`` is a :class:`~repro.poly.lazy.
+        LazyAccumulator` whose reducer belongs to this engine.
+        """
+        operands = (a, b) if b_shoup is None else (a, b, b_shoup)
+        if not all(_lanes(x, self.shape) for x in (acc.acc, *operands)):
+            return None
+        raw = acc.strategy == "raw"
+        fn, consts = (self.lib.mac_smr_raw, ()) if raw else self._mac
+        buffers = (acc.acc, *operands, *consts)
+
+        def run() -> None:
+            fn(*(_ptr(x) for x in buffers), *self.shape)
+
+        return run
+
+    def fold(self, acc, out, *, keep: bool):
+        """Terminal fold of ``acc.acc`` into canonical ``out`` in C.
+
+        ``keep`` also leaves the residues in the accumulator, the state
+        :meth:`LazyAccumulator.fold_into` ends in.  ``out`` must be a
+        contiguous uint64 limb matrix; returns ``None`` (numpy) otherwise.
+        """
+        lanes = _lanes(acc.acc, self.shape) and _lanes(out, self.shape)
+        if not lanes or out.dtype != np.uint64:
+            return None
+        if acc.signed:
+            self.lib.fold_i64(
+                _ptr(acc.acc), _ptr(self._q_col), _ptr(self._mu64),
+                _ptr(self._m32), int(acc.strategy == "raw"), *self.shape,
+                _ptr(out), int(keep),
+            )
+        else:
+            self.lib.fold_u64(
+                _ptr(acc.acc), _ptr(self._q_col), _ptr(self._mu64),
+                *self.shape, _ptr(out), int(keep),
+            )
+        return out
 
 
 class CompiledConvert:

@@ -608,8 +608,9 @@ class KeySwitcher:
     ``BatchNTT.extend``), the auxiliary-row window engine, two
     :class:`~repro.poly.lazy.LazyAccumulator` halves, and all transform /
     conversion scratch — so every stage of a steady-state switch writes
-    into reusable buffers (the reducer-level temporaries inside the MAC
-    and the two output polynomials are the only fresh arrays).
+    into reusable buffers (the two output polynomials, and on the numpy
+    tier the reducer-level temporaries inside the MAC, are the only
+    fresh arrays).
     """
 
     def __init__(self, ctx, aux_primes, dnum: int) -> None:
@@ -644,8 +645,6 @@ class KeySwitcher:
         self._c = (np.empty(ext_shape, np.uint64),
                    np.empty(ext_shape, np.uint64))
         self._conv_hat = np.empty((num_base, n), np.uint64)
-        self._signed = ctx.method == "smr"
-        self._lanes = (np.empty(ext_shape, np.int64) if self._signed else None)
 
     @cached_property
     def _accs(self) -> tuple[LazyAccumulator, LazyAccumulator]:
@@ -819,17 +818,12 @@ class KeySwitcher:
     def _mac(self, a_hat: np.ndarray, ksk: KeySwitchKey, d: int) -> None:
         """Accumulate digit ``d``'s two products into the c0/c1 halves."""
         shoup = self.ctx.method == "shoup"
-        if self._signed:
-            np.copyto(self._lanes, a_hat)
-            lanes = self._lanes
-        else:
-            lanes = a_hat
         for acc, key in zip(self._accs, ksk.pairs[d]):
             parts = key.prepared_operand()
             if shoup:
-                acc.accumulate_product(lanes, parts[0], b_shoup=parts[1])
+                acc.accumulate_product(a_hat, parts[0], b_shoup=parts[1])
             else:
-                acc.accumulate_product(lanes, parts[0])
+                acc.accumulate_product(a_hat, parts[0])
 
     def run(self, poly, ksk: KeySwitchKey, plan: KeySwitchPlan | None = None):
         """Execute a key switch, returning the ``(c0, c1)`` pair.

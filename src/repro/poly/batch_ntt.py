@@ -53,6 +53,7 @@ exit pass are bit-identical to the reference's.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Sequence
 
 import numpy as np
@@ -138,6 +139,9 @@ class BatchNTT:
         self.log_n = n.bit_length() - 1
         self.method = method
         self.backend = make_ntt_backend(method, primes)
+        # Accumulators built on this reducer (key switching, fused MACs)
+        # follow it back to this engine's tier impl (LazyAccumulator).
+        self.backend.red.engine = weakref.ref(self)
         #: dispatch tier name; the impl object itself is built lazily so
         #: engines that never transform (pure table donors) cost nothing
         self.backend_tier = resolve_backend(backend)
@@ -262,6 +266,7 @@ class BatchNTT:
         clone.log_n = self.log_n
         clone.method = self.method
         clone.backend = make_ntt_backend(self.method, clone.primes)
+        clone.backend.red.engine = weakref.ref(clone)
         clone.backend_tier = self.backend_tier
         clone._impl = None
         clone._impl_ready = False

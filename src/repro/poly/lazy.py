@@ -132,6 +132,24 @@ class LazyAccumulator:
             )
         self.bound += amount
 
+    def _tier_impl(self):
+        """The execution-tier impl of the engine that owns the reducer.
+
+        A :class:`~repro.poly.batch_ntt.BatchNTT` tags its reducer with a
+        weak ``engine`` reference, so accumulators built on an engine's
+        reducer reach that engine's tier (:func:`repro.poly.backends.
+        make_ntt_impl`) without a knob of their own; an impl that offers
+        ``mac`` / ``fold`` runs them in C.  ``None`` — no engine, the
+        numpy tier, or checked mode, whose fold-soundness assertion
+        needs the numpy path — keeps everything in numpy.
+        """
+        ref = getattr(self.reducer, "engine", None)
+        engine = None if ref is None or self.checked else ref()
+        if engine is None:
+            return None
+        impl = engine._tier_impl()
+        return impl if hasattr(impl, "mac") else None
+
     def accumulate_product(
         self,
         a: np.ndarray,
@@ -149,23 +167,38 @@ class LazyAccumulator:
 
         The term is fully formed (including any on-the-fly Shoup
         precompute, which can raise) *before* the bound is charged, so a
-        failed call leaves the tracker untouched.
+        failed call leaves the tracker untouched.  On the compiled tier
+        the product and the add run as one fused C kernel after the
+        charge; it cannot fail, and the sum matches numpy's bit for bit.
         """
-        if self.strategy == "raw":
-            term = np.asarray(a).astype(np.int64) * (
-                b.astype(np.int64)
-                if isinstance(b, np.ndarray)
-                else np.int64(b)
-            )
-        elif hasattr(self.reducer, "mulmod"):
-            term = self.reducer.mulmod(np.asarray(a), b).astype(self.acc.dtype)
-        else:  # Shoup multiplies by constants only; needs the companion
+        shoup = self.strategy == "reduced" and not hasattr(
+            self.reducer, "mulmod"
+        )
+        if shoup:  # Shoup multiplies by constants only; needs the companion
             w = int(b) if not isinstance(b, np.ndarray) else b
             if b_shoup is None:
                 b_shoup = self.reducer.precompute(w)
+        impl = self._tier_impl()
+        mac = None
+        if impl is not None:
+            mac = impl.mac(self, a, b, b_shoup if shoup else None)
+        if mac is not None:
+            self._charge(self._per_term, "accumulating a product")
+            mac()
+            self.terms += 1
+            return self
+        if self.strategy == "raw":
+            term = np.asarray(a).astype(np.int64) * (
+                b.astype(np.int64, copy=False)
+                if isinstance(b, np.ndarray)
+                else np.int64(b)
+            )
+        elif shoup:
             term = self.reducer.mulmod_const(
                 np.asarray(a), w, b_shoup
             ).astype(self.acc.dtype)
+        else:
+            term = self.reducer.mulmod(np.asarray(a), b).astype(self.acc.dtype)
         self._charge(self._per_term, "accumulating a product")
         self.acc += term
         self.terms += 1
@@ -218,6 +251,11 @@ class LazyAccumulator:
                 self.acc, self.bound,
                 kernel="LazyAccumulator.fold", signed=self.signed,
             )
+        impl = self._tier_impl()
+        if impl is not None:
+            out = np.empty(self.acc.shape, np.uint64)
+            if impl.fold(self, out, keep=False) is not None:
+                return out
         acc = self.acc
         if self.strategy == "raw":
             acc = self.reducer.reduce(acc)  # one Alg. 2 pass, into (-q, q)
@@ -263,6 +301,9 @@ class LazyAccumulator:
                 self.acc, self.bound,
                 kernel="LazyAccumulator.fold_into", signed=self.signed,
             )
+        impl = self._tier_impl()
+        if impl is not None and impl.fold(self, out, keep=True) is not None:
+            return out
         acc = self.acc
         if self.strategy == "raw":
             acc = self.reducer.reduce(acc)  # one Alg. 2 pass, into (-q, q)

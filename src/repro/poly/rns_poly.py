@@ -811,7 +811,6 @@ class RnsPolynomial:
                 )
         hooks.emit("rns_poly.mac")
         batch = ctx.batch_ntt
-        signed = ctx.method == "smr"
         shoup = ctx.method == "shoup"
         if acc is None:
             acc = LazyAccumulator(
@@ -824,11 +823,10 @@ class RnsPolynomial:
             acc.reset()
         for a, b in zip(a_polys, b_polys):
             parts = b.prepared_operand()
-            lanes = a.limbs.astype(np.int64) if signed else a.limbs
             if shoup:
-                acc.accumulate_product(lanes, parts[0], b_shoup=parts[1])
+                acc.accumulate_product(a.limbs, parts[0], b_shoup=parts[1])
             else:
-                acc.accumulate_product(lanes, parts[0])
+                acc.accumulate_product(a.limbs, parts[0])
         # Scale follows the product convention (pointwise_multiply /
         # multiply): terms of one inner product share a common scale, so
         # the first pair's product scale is the sum's.

@@ -484,7 +484,9 @@ class SignedMontgomeryReducer:
         ``2^-32`` factor — pre-scale one operand with :meth:`to_form`.
         """
         prod = a.astype(np.int64) * (
-            b.astype(np.int64) if isinstance(b, np.ndarray) else np.int64(b)
+            b.astype(np.int64, copy=False)
+            if isinstance(b, np.ndarray)
+            else np.int64(b)
         )
         return self.reduce(prod)
 

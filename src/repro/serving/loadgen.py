@@ -131,10 +131,12 @@ def verify_delivered(server) -> int:
 
     Plan execution is deterministic, so re-running a delivered batch's
     exact input ciphertext through the tenant's plan and decrypting
-    must reproduce every delivered slot value *exactly* (complex
-    equality, no tolerance).  Returns the number of mismatches — zero
-    for a correct server, because every integrity check that could have
-    caught a corrupted execution fires before delivery.
+    must reproduce every delivered value *exactly* (complex equality,
+    no tolerance): one slot for a scalar tenant, the leading
+    ``input_dim`` slots for a vector tenant.  Returns the number of
+    mismatched deliveries — zero for a correct server, because every
+    integrity check that could have caught a corrupted execution fires
+    before delivery.
     """
     wrong = 0
     for record in server.batch_log:
@@ -142,6 +144,9 @@ def verify_delivered(server) -> int:
         out = tenant.plan.run(record.ct, tag=f"verify/{record.batch_index}")
         vals = server.cc.decrypt(out, num_slots=record.slots)
         for _rid, slot, value in record.delivered:
-            if complex(vals[slot]) != value:
-                wrong += 1
+            if isinstance(value, np.ndarray):
+                ok = np.array_equal(vals[: len(value)], value)
+            else:
+                ok = complex(vals[slot]) == value
+            wrong += not ok
     return wrong

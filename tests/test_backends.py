@@ -1,12 +1,17 @@
 """Backend dispatch: precedence, cross-tier bit-identity, degradation.
 
-The PR 9 contract has four load-bearing claims, each tested here:
+The backend contract has five load-bearing claims, each tested here:
 
 * tier selection follows constructor arg > ``REPRO_BACKEND`` > numpy,
   children inherit their parent's tier, and unknown names fail loudly;
 * every *available* tier is bit-identical to the numpy reference on the
   full parity grid (four reducers x N in {1024, 4096} x L in {4, 12}:
-  NTT round-trip, multiply, ModUp, ModDown, hybrid key switch);
+  NTT round-trip, multiply, ModUp, ModDown, hybrid key switch), and on
+  the key switch's internals: pointwise products, multiply_accumulate,
+  the lazy accumulator's pre-fold contents and hoisted rotations;
+* the compiled MAC keeps the numpy guards: the bound charge precedes
+  every C call, checked mode stays on numpy, and out-of-range input
+  raises the numpy tier's error;
 * degradation is graceful and loud exactly once — a missing toolchain
   warns a single :class:`BackendFallbackWarning` (not per call) and
   runs on numpy; a worker crash raises :class:`ShardCrashError` once,
@@ -25,7 +30,12 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.errors import ParameterError, SanitizerError, ShardCrashError
+from repro.errors import (
+    AccumulatorOverflowError,
+    ParameterError,
+    SanitizerError,
+    ShardCrashError,
+)
 from repro.poly.backends import (
     BACKEND_TIERS,
     BackendFallbackWarning,
@@ -33,7 +43,9 @@ from repro.poly.backends import (
     resolve_backend,
 )
 from repro.poly.backends import compiled, sharded
-from repro.poly.basis_conv import KeySwitchKey
+from repro.poly.basis_conv import HoistedGaloisPlan, KeySwitchKey
+from repro.poly.lazy import LazyAccumulator
+from repro.poly.ntt import automorphism_tables
 from repro.poly.rns_poly import PolyContext, RnsPolynomial
 from repro.rns.primes import PrimePool
 
@@ -213,6 +225,74 @@ def test_tier_parity(parity_pools, method, n, num_limbs):
             )
 
 
+@pytest.mark.skipif(not TIERS, reason="no non-numpy tier available")
+@pytest.mark.parametrize("method", _METHODS)
+@pytest.mark.parametrize("n,num_limbs", [(1024, 4), (4096, 12)])
+def test_tier_parity_key_switch_internals(parity_pools, method, n, num_limbs):
+    """The compiled MAC, fold and pointwise kernels bit-match numpy:
+    pointwise products, multiply_accumulate at 1-3 terms (and SMR
+    ``raw``), the raw accumulator contents before the fold, and hoisted
+    rotations through ``HoistedGaloisPlan`` and ``run_hoisted``."""
+    pool = parity_pools(n, num_limbs)
+    dnum = 2 if num_limbs <= 6 else 3
+    aux = [int(p) for p in pool.extension_basis(1, num_limbs - 1, dnum=dnum)]
+    elements = (5, 25, 2 * n - 1)
+    strategies = ("reduced", "raw") if method == "smr" else ("reduced",)
+
+    def run(tier):
+        rng = np.random.default_rng(0xFACE)
+        ctx = PolyContext.from_pool(
+            pool,
+            num_terminal=1,
+            num_main=num_limbs - 1,
+            method=method,
+            backend=tier,
+        )
+        xs = [ctx.random(rng).to_ntt() for _ in range(3)]
+        ys = [ctx.random(rng).to_ntt() for _ in range(3)]
+        keys = [KeySwitchKey.random(ctx, aux, dnum, rng) for _ in elements]
+        got = {"pointwise": xs[0].pointwise_multiply(ys[0]).limbs}
+        for strategy in strategies:
+            for terms in (1, 2, 3):
+                acc = LazyAccumulator(
+                    ctx.batch_ntt.backend.red,
+                    (num_limbs, n),
+                    strategy=strategy,
+                )
+                try:
+                    out = RnsPolynomial.multiply_accumulate(
+                        xs[:terms], ys[:terms], strategy=strategy, acc=acc
+                    ).limbs
+                except AccumulatorOverflowError:
+                    out = "overflow"
+                got[strategy, terms] = (out, acc.acc.copy(), acc.bound)
+        sw = ctx.key_switcher(aux, dnum)
+        plan = HoistedGaloisPlan(sw, elements, keys)
+        got["hoisted"] = [h.limbs for pair in plan.run(xs[1]) for h in pair]
+        got["accs"] = [acc.acc.copy() for acc in sw._accs]
+        perm = automorphism_tables(n, elements[0])[2]
+        pair = sw.run_hoisted(sw.hoist(xs[2]), keys[0], perm=perm)
+        got["run_hoisted"] = [h.limbs for h in pair]
+        return got
+
+    def same(x, y):
+        if isinstance(x, (list, tuple)):
+            return len(x) == len(y) and all(map(same, x, y))
+        if isinstance(x, np.ndarray):
+            return isinstance(y, np.ndarray) and np.array_equal(x, y)
+        return x == y
+
+    ref = run("numpy")
+    if method == "smr":
+        # 30-bit main primes leave Alg. 2 headroom for two raw products
+        assert ref["raw", 3][0] == "overflow"
+    for tier in TIERS:
+        got = run(tier)
+        assert got.keys() == ref.keys()
+        for key in ref:
+            assert same(ref[key], got[key]), f"{tier} {key} diverges"
+
+
 @pytest.mark.skipif("compiled" not in TIERS, reason="no C toolchain")
 def test_compiled_checked_mode_trips_like_numpy(pool64):
     """The C kernels assert the same live certified bound column the
@@ -230,6 +310,127 @@ def test_compiled_checked_mode_trips_like_numpy(pool64):
     )
     with pytest.raises(SanitizerError, match="forward stage"):
         ctx.batch_ntt.forward(a)
+
+
+@pytest.mark.skipif("compiled" not in TIERS, reason="no C toolchain")
+class TestCompiledMacSafety:
+    """The C MAC sits behind the same guards as the numpy one: the bound
+    charge comes first, checked mode declines to numpy, and the staged
+    NTT keeps the numpy tier's range-check error."""
+
+    @staticmethod
+    def _setup(pool, method, *, checked=False, strategy="reduced"):
+        ctx = PolyContext.from_pool(
+            pool, num_terminal=1, num_main=2, method=method,
+            backend="compiled", checked=checked,
+        )
+        rng = np.random.default_rng(17)
+        x, y = ctx.random(rng).to_ntt(), ctx.random(rng).to_ntt()
+        acc = LazyAccumulator(
+            ctx.batch_ntt.backend.red,
+            (ctx.num_limbs, ctx.ring_degree),
+            strategy=strategy,
+            checked=checked,
+        )
+        parts = y.prepared_operand()
+        kw = {"b_shoup": parts[1]} if method == "shoup" else {}
+        return ctx, acc, x.limbs, parts[0], kw
+
+    @pytest.mark.parametrize(
+        "method,strategy",
+        [(m, "reduced") for m in _METHODS] + [("smr", "raw")],
+    )
+    def test_overflow_leaves_accumulator_untouched(
+        self, pool64, method, strategy
+    ):
+        ctx, acc, a, b, kw = self._setup(pool64, method, strategy=strategy)
+        impl = acc._tier_impl()
+        assert isinstance(impl, compiled.CompiledNtt)
+        assert impl.mac(acc, a, b, kw.get("b_shoup")) is not None
+        acc.accumulate_product(a, b, **kw)  # one real term, in C
+        acc.bound = acc.limit - acc._per_term + 1
+        before = (acc.acc.copy(), acc.bound, acc.terms)
+        with pytest.raises(AccumulatorOverflowError, match="fold first"):
+            acc.accumulate_product(a, b, **kw)
+        assert np.array_equal(acc.acc, before[0])
+        assert (acc.bound, acc.terms) == before[1:]
+
+    @pytest.mark.parametrize(
+        "method,strategy",
+        [(m, "reduced") for m in _METHODS] + [("smr", "raw")],
+    )
+    def test_fold_edge_residues_match_numpy(self, pool64, method, strategy):
+        """Whole multiples of q and the carrier's extremes are where a
+        quotient-estimate fold needs its correction step; the C fold must
+        agree with numpy's ``%`` there too (outputs and leftover state)."""
+        folded = {}
+        for tier in ("numpy", "compiled"):
+            ctx = PolyContext.from_pool(
+                pool64, num_terminal=1, num_main=2, method=method,
+                backend=tier,
+            )
+            # the contents bypass the bound tracker on purpose, so the
+            # fold-soundness check of checked mode stays off
+            acc = LazyAccumulator(
+                ctx.batch_ntt.backend.red,
+                (ctx.num_limbs, ctx.ring_degree),
+                strategy=strategy,
+                checked=False,
+            )
+            info = np.iinfo(acc.acc.dtype)
+            rng = np.random.default_rng(23)
+            for row, q in zip(acc.acc, ctx.primes):
+                k = rng.integers(0, info.max // q, row.size, dtype=np.int64)
+                row[:] = k.astype(row.dtype) * row.dtype.type(q)
+                row[:4] = [info.max, info.min, 0, q - 1]
+                if acc.signed:
+                    row[8:] = -row[8:]
+            fresh = acc.fold()
+            out = np.empty_like(fresh)
+            acc.fold_into(out)
+            folded[tier] = (fresh, out, acc.acc.copy())
+        for ref, got in zip(folded["numpy"], folded["compiled"]):
+            assert np.array_equal(ref, got)
+
+    @pytest.mark.parametrize("method", _METHODS)
+    def test_checked_mode_declines_and_trips_fold_sound(self, pool64, method):
+        ctx, acc, a, b, kw = self._setup(pool64, method, checked=True)
+        assert ctx.batch_ntt._tier_impl() is not None
+        assert acc._tier_impl() is None, "checked mode must stay on numpy"
+        acc.accumulate_product(a, b, **kw)
+        acc.acc[0, 0] = 2**62  # corrupt behind the tracker
+        with pytest.raises(SanitizerError, match="static bound tracking"):
+            acc.fold()
+        out = np.empty(acc.acc.shape, np.uint64)
+        with pytest.raises(SanitizerError, match="static bound tracking"):
+            acc.fold_into(out)
+
+    @pytest.mark.parametrize("method", _METHODS)
+    @pytest.mark.parametrize("limb,col,value", [(1, 7, "q"), (2, 3, 2**63)])
+    def test_staged_ntt_range_error_matches_numpy(
+        self, pool64, method, limb, col, value
+    ):
+        msgs = {}
+        for tier in ("numpy", "compiled"):
+            ctx = PolyContext.from_pool(
+                pool64, num_terminal=1, num_main=2, method=method,
+                backend=tier,
+            )
+            bad = ctx.random(np.random.default_rng(4)).limbs.copy()
+            # q itself is the first invalid residue of its row
+            bad[limb, col] = ctx.primes[limb] if value == "q" else value
+            for name, call in (
+                ("forward", ctx.batch_ntt.forward),
+                ("inverse", ctx.batch_ntt.inverse),
+                ("in place", lambda x, c=ctx: c.batch_ntt.forward(x, out=x)),
+                ("pointwise", lambda x, c=ctx: c.batch_ntt.pointwise(x, x % 5)),
+            ):
+                with pytest.raises(ParameterError) as e:
+                    call(bad.copy())
+                msgs[tier, name] = str(e.value)
+        for (tier, name), msg in msgs.items():
+            assert msg == msgs["numpy", name]
+            assert f"({limb}, {col})" in msg
 
 
 # -- graceful degradation -------------------------------------------------

@@ -188,6 +188,30 @@ def test_mixed_tenants_batch_separately(cc):
     assert tenants == {"affine", "square"}
 
 
+def test_vector_tenant_replays_bit_exact(cc):
+    """A vector tenant is delivered an array; the replay oracle compares
+    it whole against the leading ``input_dim`` slots of the replay."""
+    server = make_server(cc)
+    server.register_tenant(
+        "vaffine", make_affine(cc), scale_bits=SCALE_BITS, input_dim=4
+    )
+    rows = [np.array([0.1, -0.2, 0.3, 0.4]), np.array([0.5, 0.0, -0.6, 0.7])]
+
+    async def fire():
+        return await asyncio.gather(
+            *(server.submit("vaffine", row) for row in rows),
+            server.submit("affine", 0.2),
+        )
+
+    *vectors, scalar = serve(server, fire())
+    for row, got in zip(rows, vectors):
+        assert isinstance(got, np.ndarray) and got.shape == (4,)
+        assert np.allclose(got.real, 0.5 * row + 0.25, atol=1e-4)
+    assert math.isclose(scalar.real, 0.35, abs_tol=1e-4)
+    assert {rec.tenant for rec in server.batch_log} == {"vaffine", "affine"}
+    assert verify_delivered(server) == 0
+
+
 # -- deadlines, cancellation, backpressure ---------------------------------
 
 def test_expired_request_rejected_structurally(cc):
