@@ -34,10 +34,18 @@
  * `src`.
  *
  * Layout: data is one contiguous (L, n) row-major matrix; twiddle
- * tables are contiguous (L, n) in the backend-prepared dtype; per-limb
- * constants are length-L vectors.  Loops run limb-major (each limb
- * completes all stages before the next limb starts) — at n = 4096 a row
- * is 16-32 KiB, so the whole per-limb working set lives in L1/L2.
+ * tables are contiguous (L, n): 32-bit for the Shoup / Montgomery / SMR
+ * transforms (the wrapper casts the backend-prepared tables once), the
+ * backend-prepared 64-bit dtype elsewhere; per-limb constants are
+ * length-L vectors.  Loops run limb-major (each limb completes all
+ * stages before the next limb starts) — at n = 4096 a row is 16-32 KiB,
+ * so the whole per-limb working set lives in L1/L2.
+ *
+ * Vectorization: the 32-bit transforms are written for the compiler's
+ * loop vectorizer (32-bit lanes, branch-free folds, fixed-stride copies
+ * of the short tail stages); the library is built with -march=native so
+ * they use the host's widest vectors, and stay correct (and no slower
+ * than scalar code) in a plain SSE2 build.
  */
 
 #include <stdint.h>
@@ -110,258 +118,174 @@ static int load64(const uint64_t *src, uint64_t *row, int64_t n,
     return 0;
 }
 
-/* -- Shoup family ---------------------------------------------------
- * Twiddles: w (uint32 canonical) with companion w' = floor(w<<32 / q)
- * (uint64 carrier).  One 64-bit high product per multiply; state stays
- * canonical uint32. */
+/* -- 32-bit families: Shoup / Montgomery / SMR -------------------------
+ * One stage routine serves all three; only the twiddle multiply differs.
+ * State is canonical uint32 in [0, q), q < 2^31, so the sum of two
+ * residues never wraps and every fold is the branch-free min(x, x - q).
+ * Every multiply runs on 32-bit lanes: low products plus unsigned high
+ * products, which vectorize as even/odd widening multiplies (pmuludq)
+ * from SSE2 up.  Tables are 32-bit:
+ *   Shoup       w canonical, wsh = floor(w * 2^32 / q) (uint32 companion);
+ *   Montgomery  w * 2^32 mod q (uint32);
+ *   SMR         w * 2^32 mod q in signed form, (-q, q) (int32 bits).
+ * Montgomery and SMR share one reduce (each SMR twiddle is first lifted
+ * into [0, q)) with k = q^-1 mod 2^32, derived here: for mm = lo(p) * k
+ * the low halves of p and mm * q agree, so (p - mm*q) / 2^32 = hi(p) -
+ * hi(mm*q) exactly, in (-q, q).  Every multiply ends canonical, so the
+ * output is the exact transform whatever intermediate representative
+ * the numpy reducers carry. */
 
-static inline uint32_t shoup_mul(uint32_t v, uint32_t w, uint64_t wsh,
-                                 uint32_t q) {
-    uint32_t hi = (uint32_t)(((uint64_t)v * wsh) >> 32);
-    uint32_t r = v * w - hi * q; /* (v*w - hi*q) mod 2^32, in [0, 2q) */
-    return r < q ? r : r - q;
+enum { FAM_SHOUP, FAM_MONT, FAM_SMR };
+
+/* The routine's family, direction and stride arguments must be compile-
+ * time constants at each instantiation for the loops to vectorize. */
+#define INLINE static inline __attribute__((always_inline))
+
+INLINE uint32_t fold_q(uint32_t x, uint32_t q) { /* [0, 2q) -> [0, q) */
+    uint32_t y = x - q;
+    return x < y ? x : y;
 }
 
-EXPORT int ntt_fwd_shoup(const uint64_t *src, uint64_t *dst, uint32_t *row,
-                         const uint32_t *w, const uint64_t *wsh,
-                         const uint32_t *q, int64_t L, int64_t n,
-                         const uint64_t *bound, uint64_t *err) {
+INLINE uint32_t mulhi_u32(uint32_t a, uint32_t b) {
+    return (uint32_t)(((uint64_t)a * b) >> 32);
+}
+
+/* q^-1 mod 2^32 by Newton's iteration (q odd, so q * q = 1 mod 8; each
+ * step doubles the correct low bits, 3 -> 48). */
+static uint32_t inv32(uint32_t q) {
+    uint32_t x = q;
+    for (int i = 0; i < 4; ++i) x *= 2 - q * x;
+    return x;
+}
+
+/* A twiddle as mul32 takes it: SMR's signed form lifted into [0, q), the
+ * Montgomery form it is congruent to (once per twiddle, not per lane). */
+INLINE uint32_t lift(int fam, uint32_t w, uint32_t q) {
+    return fam == FAM_SMR ? w + (q & (uint32_t)((int32_t)w >> 31)) : w;
+}
+
+/* v * w (times 2^-32 for the Montgomery forms) mod q, canonical. */
+INLINE uint32_t mul32(int fam, uint32_t v, uint32_t w, uint32_t wsh,
+                      uint32_t q, uint32_t k) {
+    if (fam == FAM_SHOUP) /* v*w - hi*q wraps into [0, 2q) */
+        return fold_q(v * w - mulhi_u32(v, wsh) * q, q);
+    uint32_t mm = v * (w * k); /* w * k: once per twiddle, not per lane */
+    return fold_q(mulhi_u32(v, w) - mulhi_u32(mm, q) + q, q);
+}
+
+/* One limb's twiddle row, Shoup companion row (Shoup only), modulus and
+ * Montgomery constant k. */
+typedef struct {
+    const uint32_t *w, *wsh;
+    uint32_t q, k;
+} tw32;
+
+/* m Cooley-Tukey groups of stride t: (u, v) -> (u + v*w, u - v*w). */
+INLINE void ct_groups(int fam, uint32_t *row, int64_t m, int64_t t,
+                      const tw32 *c) {
+    uint32_t q = c->q;
+    for (int64_t g = 0; g < m; ++g) {
+        uint32_t w = lift(fam, c->w[m + g], q);
+        uint32_t wsh = fam == FAM_SHOUP ? c->wsh[m + g] : 0;
+        uint32_t *restrict u = row + 2 * t * g;
+        uint32_t *restrict v = u + t;
+        for (int64_t j = 0; j < t; ++j) {
+            uint32_t r = mul32(fam, v[j], w, wsh, q, c->k);
+            uint32_t uj = u[j];
+            u[j] = fold_q(uj + r, q);
+            v[j] = fold_q(uj + q - r, q);
+        }
+    }
+}
+
+/* h Gentleman-Sande groups of stride t: (u, v) -> (u + v, (u - v)*w). */
+INLINE void gs_groups(int fam, uint32_t *row, int64_t h, int64_t t,
+                      const tw32 *c) {
+    uint32_t q = c->q;
+    for (int64_t g = 0; g < h; ++g) {
+        uint32_t w = lift(fam, c->w[h + g], q);
+        uint32_t wsh = fam == FAM_SHOUP ? c->wsh[h + g] : 0;
+        uint32_t *restrict u = row + 2 * t * g;
+        uint32_t *restrict v = u + t;
+        for (int64_t j = 0; j < t; ++j) {
+            uint32_t uj = u[j], vj = v[j];
+            u[j] = fold_q(uj + vj, q);
+            v[j] = mul32(fam, fold_q(uj + q - vj, q), w, wsh, q, c->k);
+        }
+    }
+}
+
+/* One stage of `groups` butterfly groups at stride t.  Strides below 16
+ * are shorter than a vector, so each gets a fixed-t copy: its unrolled
+ * group body vectorizes across groups with interleaved loads instead of
+ * running one lane at a time. */
+INLINE void stage32(int fam, int inverse, uint32_t *row, int64_t groups,
+                    int64_t t, const tw32 *c) {
+#define STAGE(T)                                                          \
+    (inverse ? gs_groups(fam, row, groups, T, c)                          \
+             : ct_groups(fam, row, groups, T, c))
+    switch (t) {
+    case 1: STAGE(1); break;
+    case 2: STAGE(2); break;
+    case 4: STAGE(4); break;
+    case 8: STAGE(8); break;
+    default: STAGE(t);
+    }
+#undef STAGE
+}
+
+/* Per limb: range-checked load, the log2(n) stages (each followed by its
+ * checked-mode scan, tagged with the stage's group count m as in numpy),
+ * the inverse's n^-1 scale (stage 0), and the widening store. */
+INLINE int ntt32(int fam, int inverse, const uint64_t *src, uint64_t *dst,
+                 uint32_t *row, const uint32_t *w, const uint32_t *wsh,
+                 const uint32_t *ninv, const uint32_t *ninvsh,
+                 const uint32_t *q, int64_t L, int64_t n,
+                 const uint64_t *bound, uint64_t *err) {
+    int shoup = fam == FAM_SHOUP;
     for (int64_t l = 0; l < L; ++l) {
-        uint32_t ql = q[l];
-        const uint32_t *wl = w + l * n;
-        const uint64_t *wshl = wsh + l * n;
-        if (load32(src + l * n, row, n, ql)) return 2;
-        for (int64_t m = 1, t = n >> 1; m < n; m <<= 1, t >>= 1) {
-            for (int64_t g = 0; g < m; ++g) {
-                uint32_t tw = wl[m + g];
-                uint64_t twsh = wshl[m + g];
-                uint32_t *u = row + g * 2 * t;
-                uint32_t *v = u + t;
-                for (int64_t k = 0; k < t; ++k) {
-                    uint32_t r = shoup_mul(v[k], tw, twsh, ql);
-                    uint32_t uk = u[k];
-                    uint32_t s = uk + r;
-                    s = s < ql ? s : s - ql;
-                    uint32_t d = uk + ql - r;
-                    d = d < ql ? d : d - ql;
-                    u[k] = s;
-                    v[k] = d;
-                }
-            }
-            if (bound && scan32(row, n, b32(bound[l]), m, l, err)) return 1;
+        tw32 c = {w + l * n, shoup ? wsh + l * n : 0, q[l],
+                  shoup ? 0 : inv32(q[l])};
+        uint32_t bl = bound ? b32(bound[l]) : 0;
+        if (load32(src + l * n, row, n, c.q)) return 2;
+        for (int64_t s = 1; s < n; s <<= 1) {
+            /* forward: s groups of stride n/2s; inverse: n/2s groups of
+             * stride s.  The scan tags a stage m = its numpy stage index
+             * (the forward group count, twice the inverse's). */
+            int64_t groups = inverse ? n / (2 * s) : s;
+            stage32(fam, inverse, row, groups, n / (2 * groups), &c);
+            int64_t m = inverse ? 2 * groups : groups;
+            if (bound && scan32(row, n, bl, m, l, err)) return 1;
+        }
+        if (inverse) {
+            uint32_t nv = lift(fam, ninv[l], c.q);
+            uint32_t nvsh = shoup ? ninvsh[l] : 0;
+            for (int64_t j = 0; j < n; ++j)
+                row[j] = mul32(fam, row[j], nv, nvsh, c.q, c.k);
+            if (bound && scan32(row, n, bl, 0, l, err)) return 1;
         }
         store32(row, dst + l * n, n);
     }
     return 0;
 }
 
-EXPORT int ntt_inv_shoup(const uint64_t *src, uint64_t *dst, uint32_t *row,
-                         const uint32_t *w, const uint64_t *wsh,
-                         const uint32_t *ninv, const uint64_t *ninvsh,
-                         const uint32_t *q, int64_t L, int64_t n,
-                         const uint64_t *bound, uint64_t *err) {
-    for (int64_t l = 0; l < L; ++l) {
-        uint32_t ql = q[l];
-        const uint32_t *wl = w + l * n;
-        const uint64_t *wshl = wsh + l * n;
-        if (load32(src + l * n, row, n, ql)) return 2;
-        for (int64_t m = n, t = 1; m > 1; m >>= 1, t <<= 1) {
-            int64_t h = m >> 1;
-            for (int64_t g = 0; g < h; ++g) {
-                uint32_t tw = wl[h + g];
-                uint64_t twsh = wshl[h + g];
-                uint32_t *u = row + g * 2 * t;
-                uint32_t *v = u + t;
-                for (int64_t k = 0; k < t; ++k) {
-                    uint32_t uk = u[k], vk = v[k];
-                    uint32_t s = uk + vk;
-                    s = s < ql ? s : s - ql;
-                    uint32_t d = uk + ql - vk;
-                    d = d < ql ? d : d - ql;
-                    u[k] = s;
-                    v[k] = shoup_mul(d, tw, twsh, ql);
-                }
-            }
-            if (bound && scan32(row, n, b32(bound[l]), m, l, err)) return 1;
-        }
-        uint32_t nv = ninv[l];
-        uint64_t nvsh = ninvsh[l];
-        for (int64_t k = 0; k < n; ++k) row[k] = shoup_mul(row[k], nv, nvsh, ql);
-        if (bound && scan32(row, n, b32(bound[l]), 0, l, err)) return 1;
-        store32(row, dst + l * n, n);
+/* `fam` selects the family (FAM_*) and `inverse` the direction; `wsh`
+ * and `ninvsh` are read by the Shoup family only, `ninv` and `ninvsh` by
+ * inverses only.  Returns 3 for an unknown family. */
+EXPORT int ntt32_run(int64_t fam, int64_t inverse, const uint64_t *src,
+                     uint64_t *dst, uint32_t *row, const uint32_t *w,
+                     const uint32_t *wsh, const uint32_t *ninv,
+                     const uint32_t *ninvsh, const uint32_t *q, int64_t L,
+                     int64_t n, const uint64_t *bound, uint64_t *err) {
+#define RUN(F, I)                                                         \
+    ntt32(F, I, src, dst, row, w, wsh, ninv, ninvsh, q, L, n, bound, err)
+    switch (fam) {
+    case FAM_SHOUP: return inverse ? RUN(FAM_SHOUP, 1) : RUN(FAM_SHOUP, 0);
+    case FAM_MONT: return inverse ? RUN(FAM_MONT, 1) : RUN(FAM_MONT, 0);
+    case FAM_SMR: return inverse ? RUN(FAM_SMR, 1) : RUN(FAM_SMR, 0);
     }
-    return 0;
-}
-
-/* -- (unsigned) Montgomery family -----------------------------------
- * Twiddles in Montgomery form (w * 2^32 mod q, uint64 carrier); the
- * butterfly reduce cancels the 2^-32, keeping coefficients plain. */
-
-/* (p + mullo32(p, -q^-1) * q) >> 32, Montgomery's lazy [0, 2q) output
- * for p < q * 2^32 (the numpy reducer's formula, wrapping alike). */
-static inline uint64_t mont_red(uint64_t p, uint64_t q, uint32_t qinv_neg) {
-    uint32_t m = (uint32_t)p * qinv_neg; /* mullo32 */
-    return (p + (uint64_t)m * q) >> 32;
-}
-
-static inline uint32_t mont_mul(uint32_t v, uint64_t twf, uint32_t q,
-                                uint32_t qinv_neg) {
-    uint32_t t = (uint32_t)mont_red((uint64_t)v * twf, q, qinv_neg);
-    return t < q ? t : t - q;
-}
-
-EXPORT int ntt_fwd_mont(const uint64_t *src, uint64_t *dst, uint32_t *row,
-                        const uint64_t *w, const uint32_t *q,
-                        const uint32_t *qinv, int64_t L, int64_t n,
-                        const uint64_t *bound, uint64_t *err) {
-    for (int64_t l = 0; l < L; ++l) {
-        uint32_t ql = q[l], qi = qinv[l];
-        const uint64_t *wl = w + l * n;
-        if (load32(src + l * n, row, n, ql)) return 2;
-        for (int64_t m = 1, t = n >> 1; m < n; m <<= 1, t >>= 1) {
-            for (int64_t g = 0; g < m; ++g) {
-                uint64_t tw = wl[m + g];
-                uint32_t *u = row + g * 2 * t;
-                uint32_t *v = u + t;
-                for (int64_t k = 0; k < t; ++k) {
-                    uint32_t r = mont_mul(v[k], tw, ql, qi);
-                    uint32_t uk = u[k];
-                    uint32_t s = uk + r;
-                    s = s < ql ? s : s - ql;
-                    uint32_t d = uk + ql - r;
-                    d = d < ql ? d : d - ql;
-                    u[k] = s;
-                    v[k] = d;
-                }
-            }
-            if (bound && scan32(row, n, b32(bound[l]), m, l, err)) return 1;
-        }
-        store32(row, dst + l * n, n);
-    }
-    return 0;
-}
-
-EXPORT int ntt_inv_mont(const uint64_t *src, uint64_t *dst, uint32_t *row,
-                        const uint64_t *w, const uint64_t *ninv,
-                        const uint32_t *q, const uint32_t *qinv, int64_t L,
-                        int64_t n, const uint64_t *bound, uint64_t *err) {
-    for (int64_t l = 0; l < L; ++l) {
-        uint32_t ql = q[l], qi = qinv[l];
-        const uint64_t *wl = w + l * n;
-        if (load32(src + l * n, row, n, ql)) return 2;
-        for (int64_t m = n, t = 1; m > 1; m >>= 1, t <<= 1) {
-            int64_t h = m >> 1;
-            for (int64_t g = 0; g < h; ++g) {
-                uint64_t tw = wl[h + g];
-                uint32_t *u = row + g * 2 * t;
-                uint32_t *v = u + t;
-                for (int64_t k = 0; k < t; ++k) {
-                    uint32_t uk = u[k], vk = v[k];
-                    uint32_t s = uk + vk;
-                    s = s < ql ? s : s - ql;
-                    uint32_t d = uk + ql - vk;
-                    d = d < ql ? d : d - ql;
-                    u[k] = s;
-                    v[k] = mont_mul(d, tw, ql, qi);
-                }
-            }
-            if (bound && scan32(row, n, b32(bound[l]), m, l, err)) return 1;
-        }
-        uint64_t nv = ninv[l];
-        for (int64_t k = 0; k < n; ++k) row[k] = mont_mul(row[k], nv, ql, qi);
-        if (bound && scan32(row, n, b32(bound[l]), 0, l, err)) return 1;
-        store32(row, dst + l * n, n);
-    }
-    return 0;
-}
-
-/* -- SMR (signed Montgomery, Alg. 2) family -------------------------
- * Twiddles in signed Montgomery form (int64 carrier, values in
- * (-q, q)); each Alg. 2 output is canonicalized into [0, q) so the
- * butterfly combines run in uint32, exactly like the numpy kernel. */
-
-/* Alg. 2 on a 64-bit product: x_hi - mulhi32(mullo32(x_lo, m), q), in
- * (-q, q) for |p| < q * 2^31.  Every step wraps like the numpy
- * reducer's int64 pipeline, so out-of-domain inputs agree bit for bit. */
-static inline int64_t smr_red(int64_t p, int64_t q, uint32_t m) {
-    int32_t z = (int32_t)((uint32_t)p * m); /* signed mullo32 wrap */
-    return (p >> 32) - (((int64_t)z * q) >> 32);
-}
-
-/* Product of two int64 lanes with numpy's wrapping (no signed UB). */
-static inline int64_t wrap_mul(int64_t a, int64_t b) {
-    return (int64_t)((uint64_t)a * (uint64_t)b);
-}
-
-static inline uint32_t smr_mul(uint32_t v, int64_t twf, uint32_t q,
-                               uint32_t m) {
-    int64_t t = smr_red((int64_t)v * twf, q, m); /* |v*twf| < q * 2^31 */
-    return t < 0 ? (uint32_t)(t + q) : (uint32_t)t;
-}
-
-EXPORT int ntt_fwd_smr(const uint64_t *src, uint64_t *dst, uint32_t *row,
-                       const int64_t *w, const uint32_t *q, const uint32_t *m,
-                       int64_t L, int64_t n, const uint64_t *bound,
-                       uint64_t *err) {
-    for (int64_t l = 0; l < L; ++l) {
-        uint32_t ql = q[l], ml = m[l];
-        const int64_t *wl = w + l * n;
-        if (load32(src + l * n, row, n, ql)) return 2;
-        for (int64_t mm = 1, t = n >> 1; mm < n; mm <<= 1, t >>= 1) {
-            for (int64_t g = 0; g < mm; ++g) {
-                int64_t tw = wl[mm + g];
-                uint32_t *u = row + g * 2 * t;
-                uint32_t *v = u + t;
-                for (int64_t k = 0; k < t; ++k) {
-                    uint32_t r = smr_mul(v[k], tw, ql, ml);
-                    uint32_t uk = u[k];
-                    uint32_t s = uk + r;
-                    s = s < ql ? s : s - ql;
-                    uint32_t d = uk + ql - r;
-                    d = d < ql ? d : d - ql;
-                    u[k] = s;
-                    v[k] = d;
-                }
-            }
-            if (bound && scan32(row, n, b32(bound[l]), mm, l, err)) return 1;
-        }
-        store32(row, dst + l * n, n);
-    }
-    return 0;
-}
-
-EXPORT int ntt_inv_smr(const uint64_t *src, uint64_t *dst, uint32_t *row,
-                       const int64_t *w, const int64_t *ninv,
-                       const uint32_t *q, const uint32_t *m, int64_t L,
-                       int64_t n, const uint64_t *bound, uint64_t *err) {
-    for (int64_t l = 0; l < L; ++l) {
-        uint32_t ql = q[l], ml = m[l];
-        const int64_t *wl = w + l * n;
-        if (load32(src + l * n, row, n, ql)) return 2;
-        for (int64_t mm = n, t = 1; mm > 1; mm >>= 1, t <<= 1) {
-            int64_t h = mm >> 1;
-            for (int64_t g = 0; g < h; ++g) {
-                int64_t tw = wl[h + g];
-                uint32_t *u = row + g * 2 * t;
-                uint32_t *v = u + t;
-                for (int64_t k = 0; k < t; ++k) {
-                    uint32_t uk = u[k], vk = v[k];
-                    uint32_t s = uk + vk;
-                    s = s < ql ? s : s - ql;
-                    uint32_t d = uk + ql - vk;
-                    d = d < ql ? d : d - ql;
-                    u[k] = s;
-                    v[k] = smr_mul(d, tw, ql, ml);
-                }
-            }
-            if (bound && scan32(row, n, b32(bound[l]), mm, l, err)) return 1;
-        }
-        int64_t nv = ninv[l];
-        for (int64_t k = 0; k < n; ++k) row[k] = smr_mul(row[k], nv, ql, ml);
-        if (bound && scan32(row, n, b32(bound[l]), 0, l, err)) return 1;
-        store32(row, dst + l * n, n);
-    }
-    return 0;
+#undef RUN
+    return 3;
 }
 
 /* -- Barrett family --------------------------------------------------
@@ -465,6 +389,26 @@ EXPORT int ntt_inv_barrett(const uint64_t *src, uint64_t *dst,
  * for the two Montgomery reducers, value + companion for Shoup).  `a` is
  * range-checked row by row; each product is the numpy backend's
  * mul + strict fold, step for step. */
+
+/* (p + mullo32(p, -q^-1) * q) >> 32, Montgomery's lazy [0, 2q) output
+ * for p < q * 2^32 (the numpy reducer's formula, wrapping alike). */
+static inline uint64_t mont_red(uint64_t p, uint64_t q, uint32_t qinv_neg) {
+    uint32_t m = (uint32_t)p * qinv_neg; /* mullo32 */
+    return (p + (uint64_t)m * q) >> 32;
+}
+
+/* Alg. 2 on a 64-bit product: x_hi - mulhi32(mullo32(x_lo, m), q), in
+ * (-q, q) for |p| < q * 2^31.  Every step wraps like the numpy
+ * reducer's int64 pipeline, so out-of-domain inputs agree bit for bit. */
+static inline int64_t smr_red(int64_t p, int64_t q, uint32_t m) {
+    int32_t z = (int32_t)((uint32_t)p * m); /* signed mullo32 wrap */
+    return (p >> 32) - (((int64_t)z * q) >> 32);
+}
+
+/* Product of two int64 lanes with numpy's wrapping (no signed UB). */
+static inline int64_t wrap_mul(int64_t a, int64_t b) {
+    return (int64_t)((uint64_t)a * (uint64_t)b);
+}
 
 static inline uint64_t shoup_lazy(uint64_t a, uint64_t w, uint64_t wsh,
                                   uint64_t q) {

@@ -5,7 +5,11 @@ exactly the tables and reducer constants the numpy kernels use:
 
 * the batched NTT forward / inverse for the four Table-3 butterfly
   families, reading and writing the caller's uint64 limb matrix (each
-  row is range-checked and staged to 32-bit state inside the kernel);
+  row is range-checked and staged to 32-bit state inside the kernel).
+  The Shoup, Montgomery and SMR families share one vectorized stage
+  routine on 32-bit lanes; :class:`CompiledNtt` hands it 32-bit twiddle
+  tables (uint32 Shoup companions and Montgomery forms, int32 signed
+  Montgomery forms), cast once from the engine's 64-bit carriers;
 * the NTT-domain pointwise product against a prepared operand;
 * the key-switch inner-product MAC — one fused kernel per reducer for
   :class:`~repro.poly.lazy.LazyAccumulator`'s ``reduced`` strategy plus
@@ -17,9 +21,13 @@ package docstring; the MAC and fold also replay the numpy reducers'
 wrapping arithmetic step for step, so even the lazy accumulator contents
 match.  The shared library is built lazily on first use with
 whatever C compiler is around (``$CC``, else ``cc``/``gcc``/``clang``)
-and cached by source hash under ``$REPRO_KERNEL_CACHE`` (default: a
-per-user directory in the system tempdir), so one build serves every
-process and every test run.
+and the flags in :data:`CFLAGS` (``-march=native`` targets the host's
+vector ISA; a compiler that rejects it builds without it).  It is
+cached under ``$REPRO_KERNEL_CACHE`` (default: a per-user directory in
+the system tempdir) by a digest of the source, the compiler, the flags
+and the host CPU (:func:`_build_key`), so one build serves every process
+and every test run on this host, and nothing stale or built for another
+CPU is ever loaded.
 
 No toolchain — or a failing build — is *not* an error: :func:`get_lib`
 warns once per process with :class:`~repro.poly.backends.
@@ -41,6 +49,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -84,44 +93,80 @@ def _compiler() -> str | None:
     return None
 
 
+#: Compile flags of the kernel library.  ``-march=native`` targets the
+#: host's vector ISA (AVX2 / AVX-512 lanes for the 32-bit butterflies);
+#: a compiler that rejects it builds without it (``_PORTABLE``).
+CFLAGS = ("-O3", "-march=native", "-fPIC", "-shared")
+_PORTABLE = tuple(f for f in CFLAGS if f != "-march=native")
+
+
+def _host_isa() -> str:
+    """The host's instruction-set identity: machine name plus the CPU
+    feature flags where the OS lists them (Linux ``/proc/cpuinfo``)."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith(("flags", "Features")):
+                    return f"{platform.machine()}:{line.split(':', 1)[1].strip()}"
+    except OSError:
+        pass
+    return f"{platform.machine()}:{platform.processor()}"
+
+
+def _build_key(cc: str) -> str:
+    """Digest naming the library: source, compiler, flags and host ISA.
+
+    The compiler is identified by its resolved path and that file's size
+    and mtime, so a changed ``$CC`` or an upgraded toolchain rebuilds,
+    and a cache shared with another CPU never loads code built for
+    instructions it lacks.
+    """
+    path = shutil.which(cc) or cc
+    try:
+        st = os.stat(path)
+        ident = f"{path}:{st.st_size}:{st.st_mtime_ns}"
+    except OSError:
+        ident = path
+    h = hashlib.sha256(_SOURCE.read_bytes())
+    for part in (ident, " ".join(CFLAGS), _host_isa()):
+        h.update(b"\0" + part.encode())
+    return h.hexdigest()[:16]
+
+
 def _build_lib() -> Path:
     """Compile (or reuse) the kernel shared library, returning its path.
 
-    The artifact name carries a source hash, so editing ``_kernels.c``
-    invalidates stale caches naturally; the build lands under a
+    The artifact name carries :func:`_build_key`, so editing
+    ``_kernels.c``, switching compilers or moving the cache to another
+    host invalidates stale builds naturally; the build lands under a
     temporary name and is published with an atomic ``os.replace`` so
     concurrent processes never load a half-written library.
     """
-    digest = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
-    cache = _cache_dir()
-    so = cache / f"repro_kernels_{digest}.so"
-    if so.exists():
-        return so
     cc = _compiler()
     if cc is None:
         raise RuntimeError("no C compiler found ($CC unset, no cc/gcc/clang)")
+    cache = _cache_dir()
+    so = cache / f"repro_kernels_{_build_key(cc)}.so"
+    if so.exists():
+        return so
     cache.mkdir(parents=True, exist_ok=True)
     tmp = so.with_name(f"{so.name}.tmp{os.getpid()}")
-    cmd = [cc, "-O3", "-fPIC", "-shared", "-o", str(tmp), str(_SOURCE)]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.returncode:
-        tmp.unlink(missing_ok=True)
-        detail = (proc.stderr or proc.stdout).strip()[:400]
-        raise RuntimeError(f"{cc} failed (rc={proc.returncode}): {detail}")
-    os.replace(tmp, so)
-    return so
+    for flags in (CFLAGS, _PORTABLE):
+        cmd = [cc, *flags, "-o", str(tmp), str(_SOURCE)]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        if proc.returncode == 0:
+            os.replace(tmp, so)
+            return so
+    tmp.unlink(missing_ok=True)
+    detail = (proc.stderr or proc.stdout).strip()[:400]
+    raise RuntimeError(f"{cc} failed (rc={proc.returncode}): {detail}")
 
 
 _P, _I = ctypes.c_void_p, ctypes.c_int64
-#: C ABI of every exported kernel: pointer arguments, then the int64
-#: dims and flags, in ``_kernels.c`` order
+#: C ABI of every exported kernel, argument by argument in ``_kernels.c``
+#: order
 _SIGNATURES = {
-    "ntt_fwd_shoup": [_P] * 6 + [_I, _I, _P, _P],
-    "ntt_inv_shoup": [_P] * 8 + [_I, _I, _P, _P],
-    "ntt_fwd_mont": [_P] * 6 + [_I, _I, _P, _P],
-    "ntt_inv_mont": [_P] * 7 + [_I, _I, _P, _P],
-    "ntt_fwd_smr": [_P] * 6 + [_I, _I, _P, _P],
-    "ntt_inv_smr": [_P] * 7 + [_I, _I, _P, _P],
+    "ntt32_run": [_I, _I] + [_P] * 8 + [_I, _I, _P, _P],
     "ntt_fwd_barrett": [_P] * 5 + [_I, _I, _P, _P],
     "ntt_inv_barrett": [_P] * 6 + [_I, _I, _P, _P],
     "pw_barrett": [_P] * 4 + [_I, _I, _P],
@@ -138,6 +183,11 @@ _SIGNATURES = {
     "crt_convert": [_P] * 8 + [_I, _I, _I, _P],
     "crt_scale": [_P] * 4 + [_I, _I, _P],
 }
+
+
+#: family codes of the shared 32-bit NTT routine (``_kernels.c`` FAM_*);
+#: Barrett keeps its own 64-bit lazy kernels
+_FAM = {"shoup": 0, "montgomery": 1, "smr": 2}
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
@@ -233,39 +283,40 @@ class CompiledNtt:
         fwd, inv, ninv = engine._fwd, engine._inv, engine._n_inv
         if method == "barrett":
             mu = _c(np.asarray(red.mu, dtype=np.uint64).reshape(-1))
-            self._fwd_call = (lib.ntt_fwd_barrett, (_c(fwd[0]), q64, mu))
+            self._fwd_call = (lib.ntt_fwd_barrett, (), (_c(fwd[0]), q64, mu))
             self._inv_call = (
                 lib.ntt_inv_barrett,
+                (),
                 (_c(inv[0]), _c(ninv[0].reshape(-1)), q64, mu),
             )
             self._pw = (lib.pw_barrett, (np.uint64,), (q64, mu))
             self._mac = (lib.mac_barrett, (q64, mu))
             return
         self._row = np.empty(self.n, np.uint32)
-        q32 = _c(q64.astype(np.uint32))
+        # 32-bit tables, every cast exact: canonical twiddles and
+        # Montgomery forms lie in [0, q), signed Montgomery forms in
+        # (-q, q), Shoup companions floor(w * 2^32 / q) in [0, 2^32).
+        dt = np.int32 if method == "smr" else np.uint32
+        w_fwd, w_inv, nv = (
+            _c(t[0].reshape(-1).astype(dt)) for t in (fwd, inv, ninv)
+        )
+        sh_fwd = sh_inv = nvsh = None
         if method == "shoup":
-            nv = _c(ninv[0].reshape(-1).astype(np.uint32))
-            nvsh = _c(ninv[1].reshape(-1))
-            self._fwd_call = (
-                lib.ntt_fwd_shoup,
-                (_c(fwd[0].astype(np.uint32)), _c(fwd[1]), q32),
+            sh_fwd, sh_inv, nvsh = (
+                _c(t[1].reshape(-1).astype(np.uint32)) for t in (fwd, inv, ninv)
             )
-            self._inv_call = (
-                lib.ntt_inv_shoup,
-                (_c(inv[0].astype(np.uint32)), _c(inv[1]), nv, nvsh, q32),
-            )
+        q32 = _c(q64.astype(np.uint32))
+        fam = _FAM[method]
+        self._fwd_call = (lib.ntt32_run, (fam, 0), (w_fwd, sh_fwd, None, None, q32))
+        self._inv_call = (lib.ntt32_run, (fam, 1), (w_inv, sh_inv, nv, nvsh, q32))
+        if method == "shoup":
             self._pw = (lib.pw_shoup, (np.uint64, np.uint64), (q64,))
             self._mac = (lib.mac_shoup, (q64,))
         elif method == "montgomery":
             qi = _c(np.asarray(red.q_inv_neg).reshape(-1).astype(np.uint32))
-            self._fwd_call = (lib.ntt_fwd_mont, (_c(fwd[0]), q32, qi))
-            self._inv_call = (
-                lib.ntt_inv_mont,
-                (_c(inv[0]), _c(ninv[0].reshape(-1)), q32, qi),
-            )
             self._pw = (lib.pw_mont, (np.uint64,), (q64, qi))
             self._mac = (lib.mac_mont, (q64, qi))
-        elif method == "smr":
+        else:
             m32 = _c(
                 np.bitwise_and(
                     np.asarray(red.m, dtype=np.int64).reshape(-1),
@@ -273,18 +324,11 @@ class CompiledNtt:
                 ).astype(np.uint32)
             )
             self._m32 = m32
-            self._fwd_call = (lib.ntt_fwd_smr, (_c(fwd[0]), q32, m32))
-            self._inv_call = (
-                lib.ntt_inv_smr,
-                (_c(inv[0]), _c(ninv[0].reshape(-1)), q32, m32),
-            )
             self._pw = (lib.pw_smr, (np.int64,), (q64, m32))
             self._mac = (lib.mac_smr, (q64, m32))
-        else:  # pragma: no cover - BatchNTT validates the method first
-            raise ValueError(f"no compiled kernel for method {method!r}")
 
     def _run(self, call, direction: str, src, dst) -> None:
-        fn, tables = call
+        fn, head, tables = call
         err = self._err
         err[:] = 0
         kernel = self.engine._kernel
@@ -298,10 +342,11 @@ class CompiledNtt:
             )
         staging = () if self._row is None else (_ptr(self._row),)
         rc = fn(
+            *head,
             _ptr(src),
             _ptr(dst),
             *staging,
-            *(_ptr(t) for t in tables),
+            *(None if t is None else _ptr(t) for t in tables),
             *self.shape,
             ctypes.c_void_p(None) if bound_col is None else _ptr(bound_col),
             _ptr(err),

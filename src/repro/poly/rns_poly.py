@@ -24,6 +24,7 @@ key-switching inner product through a
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Sequence
 from functools import cached_property
 
@@ -96,10 +97,14 @@ class LimbState:
             prime); the scheme layer enforces its semantics.
         prepared: cached backend-prepared operand handle (or ``None``).
         twin: the cached transform twin polynomial (or ``None``); the
-            link is bidirectional, ``twin.state.twin`` points back.
+            link is bidirectional, ``twin.state.twin`` points back.  The
+            polynomial that computed the twin holds it strongly and the
+            twin holds its source through a ``weakref.ref``, so a pair
+            never forms a reference cycle: dropping the source frees it
+            at once instead of waiting for the cyclic collector.
     """
 
-    __slots__ = ("domain", "level", "scale", "prepared", "twin")
+    __slots__ = ("domain", "level", "scale", "prepared", "_twin")
 
     def __init__(self, domain: str, level: int, scale: float = 1.0) -> None:
         if domain not in (COEFF, NTT):
@@ -110,7 +115,12 @@ class LimbState:
         self.level = int(level)
         self.scale = float(scale)
         self.prepared: tuple[np.ndarray, ...] | None = None
-        self.twin = None  # the twin RnsPolynomial, when cached
+        self._twin = None  # the twin RnsPolynomial, or a weakref to it
+
+    @property
+    def twin(self):
+        t = self._twin
+        return t() if isinstance(t, weakref.ref) else t
 
     def invalidate(self) -> None:
         """The one invalidation path: drop caches derived from limb values.
@@ -122,9 +132,9 @@ class LimbState:
         """
         self.prepared = None
         twin = self.twin
-        self.twin = None
+        self._twin = None
         if twin is not None:
-            twin.state.twin = None
+            twin.state._twin = None
 
 
 class PolyContext:
@@ -521,7 +531,7 @@ class RnsPolynomial:
     property.
     """
 
-    __slots__ = ("ctx", "limbs", "state")
+    __slots__ = ("ctx", "limbs", "state", "__weakref__")
 
     def __init__(
         self,
@@ -677,23 +687,27 @@ class RnsPolynomial:
         """
         if self.domain == NTT:
             return self
-        if self.state.twin is None:
-            out = self.ctx.batch_ntt.forward(self.limbs)
-            twin = RnsPolynomial(self.ctx, out, NTT, scale=self.state.scale)
-            twin.state.twin = self
-            self.state.twin = twin
-        return self.state.twin
+        twin = self.state.twin
+        if twin is None:
+            twin = self._cache_twin(self.ctx.batch_ntt.forward(self.limbs), NTT)
+        return twin
 
     def to_coeff(self) -> RnsPolynomial:
         """Inverse of :meth:`to_ntt`, with the same twin caching."""
         if self.domain == COEFF:
             return self
-        if self.state.twin is None:
-            out = self.ctx.batch_ntt.inverse(self.limbs)
-            twin = RnsPolynomial(self.ctx, out, COEFF, scale=self.state.scale)
-            twin.state.twin = self
-            self.state.twin = twin
-        return self.state.twin
+        twin = self.state.twin
+        if twin is None:
+            twin = self._cache_twin(self.ctx.batch_ntt.inverse(self.limbs), COEFF)
+        return twin
+
+    def _cache_twin(self, limbs: np.ndarray, domain: str) -> RnsPolynomial:
+        """Wrap this polynomial's transform as its twin: a strong link
+        from here, a weak one back (see :class:`LimbState`)."""
+        twin = RnsPolynomial(self.ctx, limbs, domain, scale=self.state.scale)
+        twin.state._twin = weakref.ref(self)
+        self.state._twin = twin
+        return twin
 
     # -- Galois automorphisms ----------------------------------------------
     def automorphism(self, k: int) -> RnsPolynomial:

@@ -24,6 +24,7 @@ import repro
 from repro import CkksContext
 from repro._compat import _warned
 from repro.errors import ParameterError
+from repro.poly.backends import resolve_backend
 
 CTX_KW = dict(ring_degree=64, num_main=3, num_aux=3, dnum=2, seed=5)
 
@@ -63,7 +64,8 @@ def test_context_stores_canonical_attributes(cc):
     assert cc.scale_bits == 30
     assert cc.scale == 2.0**30
     assert cc.main_bits == 30 and cc.terminal_bits == 25
-    assert cc.backend == "numpy"
+    # the tier the environment selects (numpy unless REPRO_BACKEND is set)
+    assert cc.backend == resolve_backend(None)
     assert cc.checked in (True, False)
 
 

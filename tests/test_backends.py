@@ -1,6 +1,6 @@
 """Backend dispatch: precedence, cross-tier bit-identity, degradation.
 
-The backend contract has five load-bearing claims, each tested here:
+The backend contract has six load-bearing claims, each tested here:
 
 * tier selection follows constructor arg > ``REPRO_BACKEND`` > numpy,
   children inherit their parent's tier, and unknown names fail loudly;
@@ -8,10 +8,15 @@ The backend contract has five load-bearing claims, each tested here:
   full parity grid (four reducers x N in {1024, 4096} x L in {4, 12}:
   NTT round-trip, multiply, ModUp, ModDown, hybrid key switch), and on
   the key switch's internals: pointwise products, multiply_accumulate,
-  the lazy accumulator's pre-fold contents and hoisted rotations;
+  the lazy accumulator's pre-fold contents and hoisted rotations; and
+  the compiled transform's every stride specialization (n from 2 to 64
+  and 2^16, edge residues, in place), checked-mode trips included;
 * the compiled MAC keeps the numpy guards: the bound charge precedes
   every C call, checked mode stays on numpy, and out-of-range input
   raises the numpy tier's error;
+* the kernel library is cached under a key covering source, compiler,
+  flags and host CPU, and a compiler rejecting ``-march=native`` still
+  builds (portable flags);
 * degradation is graceful and loud exactly once — a missing toolchain
   warns a single :class:`BackendFallbackWarning` (not per call) and
   runs on numpy; a worker crash raises :class:`ShardCrashError` once,
@@ -44,10 +49,11 @@ from repro.poly.backends import (
 )
 from repro.poly.backends import compiled, sharded
 from repro.poly.basis_conv import HoistedGaloisPlan, KeySwitchKey
+from repro.poly.batch_ntt import BatchNTT
 from repro.poly.lazy import LazyAccumulator
 from repro.poly.ntt import automorphism_tables
 from repro.poly.rns_poly import PolyContext, RnsPolynomial
-from repro.rns.primes import PrimePool
+from repro.rns.primes import PrimePool, ntt_friendly_primes
 
 _SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -312,6 +318,104 @@ def test_compiled_checked_mode_trips_like_numpy(pool64):
         ctx.batch_ntt.forward(a)
 
 
+# -- compiled NTT stride specializations ----------------------------------
+#: every fixed-stride tail stage (t = 1, 2, 4, 8) and the generic loop;
+#: n = 2 is the lone t = 1 stage
+_STRIDE_N = (2, 4, 8, 16, 32, 64)
+
+
+@pytest.fixture(scope="module")
+def stride_primes():
+    """``count`` 30-bit limbs NTT-friendly for exactly ``n``: at small n
+    some q - 1 has few trailing zero bits (q = 5 mod 8 at n = 2), the
+    hardest case for the kernel's Newton-derived q^-1 mod 2^32."""
+    cache = {}
+
+    def get(n, count=4):
+        if (n, count) not in cache:
+            cache[n, count] = [int(q) for q in ntt_friendly_primes(30, count, n)]
+        return cache[n, count]
+
+    return get
+
+
+def _engines(primes, n, method, *, checked=False):
+    engines = {}
+    for tier in ("numpy", "compiled"):
+        engine = BatchNTT(primes, n, method, backend=tier)
+        engine.set_checked(checked)
+        engines[tier] = engine
+    assert isinstance(engines["compiled"]._tier_impl(), compiled.CompiledNtt)
+    return engines
+
+
+@pytest.mark.skipif("compiled" not in TIERS, reason="no C toolchain")
+@pytest.mark.parametrize("method", _METHODS)
+@pytest.mark.parametrize("n", [*_STRIDE_N, 1 << 16])
+def test_compiled_ntt_stride_parity(stride_primes, method, n):
+    """Each stride specialization of the compiled transform bit-matches
+    numpy — forward, inverse and in place (``out=a``) — on rows of the
+    edge residues 0, 1 and q-1 and on a random row with them planted."""
+    primes = stride_primes(n) if n < 1 << 16 else stride_primes(n, 1)
+    rng = np.random.default_rng(n)
+    a = np.stack([rng.integers(0, q, n, dtype=np.uint64) for q in primes])
+    a[:, : min(n, 3)] = 0
+    a[:, -min(n, 3) :] = np.array(primes, dtype=np.uint64).reshape(-1, 1) - 1
+    if len(primes) > 1:
+        a[1:] = np.array([[0], [1], [primes[3] - 1]], dtype=np.uint64)
+    got = {}
+    for tier, engine in _engines(primes, n, method).items():
+        fwd, inv = engine.forward(a), engine.inverse(a)
+        fwd_in, inv_in = a.copy(), a.copy()
+        assert engine.forward(fwd_in, out=fwd_in) is fwd_in
+        assert engine.inverse(inv_in, out=inv_in) is inv_in
+        assert np.array_equal(engine.inverse(fwd), a)
+        got[tier] = (fwd, inv, fwd_in, inv_in)
+    for ref, out in zip(got["numpy"], got["compiled"]):
+        assert np.array_equal(ref, out)
+
+
+@pytest.mark.skipif("compiled" not in TIERS, reason="no C toolchain")
+@pytest.mark.parametrize("n", _STRIDE_N)
+@pytest.mark.parametrize(
+    "method,where",
+    [(m, w) for m in _METHODS for w in ("forward t=1", "inverse t=1")]
+    + [(m, "n^-1 scale") for m in ("montgomery", "shoup", "smr")],
+)
+def test_compiled_checked_trip_matches_numpy(stride_primes, method, where, n):
+    """A bound tightened on one limb trips inside the t = 1 stage (the
+    forward's last, the inverse's first) or the inverse's n^-1 scale on
+    both tiers, with numpy's exact SanitizerError text.
+
+    Forward: a row e_1 stays in {0, 1} until the t = 1 stage writes the
+    twiddles themselves.  Inverse: a row of q-1 doubles per stage into
+    q - 2^s (canonical) or 2q - 2^s (Barrett's lazy state), and the scale
+    returns it to q-1."""
+    primes = stride_primes(n)
+    limb = 2
+    q = primes[limb]
+    a = np.zeros((len(primes), n), dtype=np.uint64)
+    msgs = {}
+    for tier, engine in _engines(primes, n, method, checked=True).items():
+        kernel = engine._kernel
+        if where == "forward t=1":
+            a[limb, 1] = 1
+            bound, call = 1, engine.forward
+            stage = f"forward stage m={n // 2}"
+        else:
+            a[limb] = q - 1
+            bound = kernel.lazy_factor * q - (3 if where == "inverse t=1" else 2)
+            call = engine.inverse
+            stage = f"inverse stage m={n}" if where == "inverse t=1" else where
+        kernel._bound_col[limb] = bound
+        with pytest.raises(SanitizerError) as e:
+            call(a)
+        msgs[tier] = str(e.value)
+        assert f"NTT {stage} produced" in msgs[tier]
+        assert f"at row {limb}, coefficient index 0" in msgs[tier]
+    assert msgs["compiled"] == msgs["numpy"]
+
+
 @pytest.mark.skipif("compiled" not in TIERS, reason="no C toolchain")
 class TestCompiledMacSafety:
     """The C MAC sits behind the same guards as the numpy one: the bound
@@ -470,6 +574,49 @@ class TestCompiledDegradation:
             ), "fallback path must still be the numpy reference"
         finally:
             compiled._reset()
+
+
+class TestKernelBuild:
+    """The cached library is named by everything that shapes the binary,
+    and a compiler without the host-ISA flag still builds."""
+
+    def test_build_key_covers_compiler_flags_and_host(self, monkeypatch):
+        cc = compiled._compiler() or "cc"
+        base = compiled._build_key(cc)
+        assert compiled._build_key(cc) == base
+        assert compiled._build_key("/nonexistent-compiler") != base
+        monkeypatch.setattr(compiled, "_host_isa", lambda: "other-cpu:sse2")
+        assert compiled._build_key(cc) != base
+        monkeypatch.undo()
+        monkeypatch.setattr(compiled, "CFLAGS", compiled._PORTABLE)
+        assert compiled._build_key(cc) != base
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs /bin/sh")
+    def test_compiler_rejecting_host_isa_builds_portable(
+        self, monkeypatch, tmp_path
+    ):
+        log = tmp_path / "calls"
+        fake = tmp_path / "fakecc"
+        fake.write_text(
+            "#!/bin/sh\n"
+            f'echo "$*" >> "{log}"\n'
+            'case " $* " in *" -march=native "*) exit 1;; esac\n'
+            'while [ "$1" != "-o" ]; do shift; done\n'
+            ': > "$2"\n'
+        )
+        fake.chmod(0o755)
+        monkeypatch.setenv("CC", str(fake))
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "cache"))
+        so = compiled._build_lib()
+        assert so.is_file()
+        calls = log.read_text().splitlines()
+        assert len(calls) == 2
+        assert "-march=native" in calls[0].split()
+        assert calls[1].split()[: len(compiled._PORTABLE)] == list(
+            compiled._PORTABLE
+        )
+        assert compiled._build_lib() == so  # cached: no third compile
+        assert len(log.read_text().splitlines()) == 2
 
 
 @pytest.mark.skipif("sharded" not in TIERS, reason="sharded tier down")

@@ -5,6 +5,8 @@ results to Python integers mod Q = prod q_i — slow but exact, which is the
 point: the (num_limbs, N) limb layout must be *algebraically invisible*.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -294,6 +296,37 @@ def test_to_coeff_caches_twin(ctx, rng):
     a = a_hat.to_coeff()
     assert a_hat.to_coeff() is a
     assert a.to_ntt() is a_hat
+
+
+def test_hmult_hrot_round_leaves_no_polynomial_garbage():
+    """A twin links back to its source weakly, so a polynomial and its
+    transform twin never form a reference cycle: a whole HMult + HRot
+    round is freed by reference counting, with nothing left for the
+    cyclic collector (which rarely runs under a large-array workload)."""
+    from repro import CkksContext
+    from repro.poly.rns_poly import LimbState, RnsPolynomial
+
+    cc = CkksContext(
+        ring_degree=64, num_main=3, num_aux=3, dnum=2, seed=5, rotations=(1,)
+    )
+    z = np.arange(8) / 8
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        ct = cc.encrypt(z, num_slots=8)
+        out = cc.evaluator.rotate(cc.evaluator.multiply(ct, ct), 1)
+        del ct, out
+        gc.collect()
+        leaked = [
+            type(o).__name__
+            for o in gc.garbage
+            if isinstance(o, (RnsPolynomial, LimbState))
+        ]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert leaked == []
 
 
 def test_same_domain_transform_is_identity(ctx, rng):
