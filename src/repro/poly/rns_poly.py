@@ -441,6 +441,30 @@ class PolyContext:
             col([(q - q_last % q) % q for q in live]),  # -q_last mod q_i
         )
 
+    @cached_property
+    def crt_lifts(self) -> np.ndarray:
+        """The CRT lifts ``m_i * (m_i^-1 mod q_i)`` with ``m_i = Q / q_i``.
+
+        An object vector of Python ints: ``sum_i r_i * lift_i mod Q`` is
+        the integer with residues ``r_i``.  Cached so the exact decode
+        fallback does no per-call ``pow``.
+        """
+        big_q = self.modulus
+        lifts = [(big_q // q) * pow(big_q // q, -1, q) for q in self.primes]
+        return np.array(lifts, dtype=object)
+
+    @cached_property
+    def _crt_pair(self) -> tuple[np.uint64, np.uint64, np.ndarray]:
+        """``(P, q0^-1 mod q1, (-P mod q_i) per limb)`` for the two-limb
+        CRT fast path, ``P = q0 * q1`` (``q0`` alone on one limb).  Every
+        reducer rejects ``q >= 2^31``, so ``P < 2^62`` and the Garner
+        product (``< 2 q1^2``) stays below ``2^63``."""
+        head = self.primes[:2]
+        p = head[0] * head[-1] if len(head) == 2 else head[0]
+        inv = pow(head[0], -1, head[1]) if len(head) == 2 else 0
+        neg_p = np.array([-p % q for q in self.primes], dtype=np.uint64)
+        return np.uint64(p), np.uint64(inv), neg_p
+
     def mismatch_reason(self, other: PolyContext) -> str | None:
         """The first field on which two contexts differ, named — or ``None``.
 
@@ -610,27 +634,21 @@ class RnsPolynomial:
         self._check(other)
         q = self.ctx.moduli
         s = self.limbs + other.limbs
-        return RnsPolynomial(
-            self.ctx,
-            np.where(s >= q, s - q, s),
-            self.domain,
-            scale=self.state.scale,
-        )
+        np.minimum(s, s - q, out=s)
+        return RnsPolynomial(self.ctx, s, self.domain, scale=self.state.scale)
 
     def sub(self, other: RnsPolynomial) -> RnsPolynomial:
         self._check(other)
         q = self.ctx.moduli
-        d = self.limbs + q - other.limbs
-        return RnsPolynomial(
-            self.ctx,
-            np.where(d >= q, d - q, d),
-            self.domain,
-            scale=self.state.scale,
-        )
+        d = self.limbs + q
+        d -= other.limbs
+        np.minimum(d, d - q, out=d)
+        return RnsPolynomial(self.ctx, d, self.domain, scale=self.state.scale)
 
     def negate(self) -> RnsPolynomial:
         q = self.ctx.moduli
-        neg = np.where(self.limbs == 0, self.limbs, q - self.limbs)
+        neg = q - self.limbs
+        np.minimum(neg, neg - q, out=neg)  # q - 0 folds back to 0
         return RnsPolynomial(self.ctx, neg, self.domain, scale=self.state.scale)
 
     def __add__(self, other: RnsPolynomial) -> RnsPolynomial:
@@ -670,10 +688,8 @@ class RnsPolynomial:
         """In-place :meth:`negate`."""
         self.state.invalidate()
         q = self.ctx.moduli
-        np.copyto(
-            self.limbs,
-            np.where(self.limbs == 0, self.limbs, q - self.limbs),
-        )
+        np.subtract(q, self.limbs, out=self.limbs)
+        np.minimum(self.limbs, self.limbs - q, out=self.limbs)
         return self
 
     # -- domain switches ---------------------------------------------------
@@ -987,24 +1003,95 @@ class RnsPolynomial:
             plan = switcher.plan(self, output_domain)
         return switcher.run(self, ksk, plan)
 
-    # -- CRT reconstruction (reference/tests; Python-int arithmetic) -------
+    # -- CRT reconstruction ------------------------------------------------
+    def crt_centered(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exact centered CRT reconstruction of every coefficient.
+
+        Returns ``(values, idx, exact)``: the int64 vector ``values``
+        holds each coefficient's representative in ``(-Q/2, Q/2]``,
+        except at the positions ``idx``, whose representatives are the
+        Python ints in ``exact`` (``values[idx]`` is meaningless there).
+
+        *Fast path.*  Limbs 0 and 1 rebuild every coefficient mod
+        ``P = q0 * q1`` (< 2^62: every limb prime is below 2^31) in
+        uint64 by Garner's formula, centered into ``c`` in
+        ``(-P/2, P/2]``.
+
+        *Certificate.*  One vectorized residue compare per further limb
+        checks ``c = r_i (mod q_i)``.  If it holds for every ``i``, the
+        CRT gives ``c = x (mod Q)``, and ``|c| < P/2 <= Q/2`` makes ``c``
+        the centered representative itself: a proof, not a heuristic.
+        With three or more limbs a coefficient fails it exactly when
+        ``|x| > P/2`` (a decrypt with its noise stays far below that; a
+        garbage one does not).
+
+        *Fallback.*  Only the failing columns take the exact big-int
+        sum ``sum_i r_i * lift_i mod Q`` over the context's cached
+        :attr:`PolyContext.crt_lifts`.
+        """
+        if self.domain != COEFF:
+            raise LayoutError("CRT reconstruction requires coefficient domain")
+        ctx = self.ctx
+        n = ctx.ring_degree
+        p, inv, neg_p = ctx._crt_pair
+        r, q = self.limbs, ctx.moduli
+        x = r[0].copy()
+        if ctx.num_limbs > 1:
+            # x = r0 + q0 * ((r1 - r0) * q0^-1 mod q1); t < 2 q1, so
+            # t * inv < 2 q1^2 < 2^63
+            t = r[1] + q[1] - x % q[1]
+            t *= inv
+            t %= q[1]
+            t *= q[0]
+            x += t
+        neg = x > p // np.uint64(2)
+        neg_u = neg.astype(np.uint64)
+        ok = np.ones(n, dtype=bool)
+        rem, tmp = np.empty(n, np.uint64), np.empty(n, np.uint64)
+        for i in range(2, ctx.num_limbs):
+            np.remainder(x, q[i], out=rem)
+            # centered c = x - P on ``neg``: add (-P mod q_i) there
+            np.multiply(neg_u, neg_p[i], out=tmp)
+            rem += tmp
+            np.subtract(rem, q[i], out=tmp)
+            np.minimum(rem, tmp, out=rem)
+            ok &= rem == r[i]
+        # c = x - P on ``neg``: wraps in uint64, reads as a negative int64
+        x -= neg_u * p
+        idx = np.flatnonzero(~ok)
+        return x.view(np.int64), idx, self._crt_exact(idx)
+
+    def _crt_exact(self, idx: np.ndarray) -> np.ndarray:
+        """Centered big-int representatives of the columns ``idx``."""
+        big_q = self.ctx.modulus
+        cols = self.limbs[:, idx].astype(object)
+        exact = self.ctx.crt_lifts.dot(cols) % big_q
+        exact[exact > big_q // 2] -= big_q
+        return exact
+
     def to_int_coeffs(self, *, centered: bool = True) -> list[int]:
         """CRT-reconstruct coefficients as Python ints mod Q.
 
         With ``centered`` the representatives lie in ``(-Q/2, Q/2]``,
-        matching the signed plaintext convention; otherwise ``[0, Q)``.
+        matching the signed plaintext convention; otherwise ``[0, Q)``
+        (negative centered values get ``+Q``).  Exact: see
+        :meth:`crt_centered` for the certified two-limb fast path.
         """
-        if self.domain != COEFF:
-            raise LayoutError("CRT reconstruction requires coefficient domain")
-        big_q = self.ctx.modulus
-        acc = [0] * self.ctx.ring_degree
-        for i, q in enumerate(self.ctx.primes):
-            m_i = big_q // q
-            lift = m_i * pow(m_i, -1, q)
-            row = self.limbs[i]
-            for j in range(self.ctx.ring_degree):
-                acc[j] = (acc[j] + int(row[j]) * lift) % big_q
-        if centered:
-            half = big_q // 2
-            acc = [c - big_q if c > half else c for c in acc]
-        return acc
+        values, idx, exact = self.crt_centered()
+        out = values.astype(object)
+        out[idx] = exact
+        if not centered:
+            out[out < 0] += self.ctx.modulus
+        return out.tolist()
+
+    def to_float_coeffs(self) -> np.ndarray:
+        """Centered coefficients rounded to float64.
+
+        Bit-identical to ``float(c)`` over :meth:`to_int_coeffs`: the
+        int64 -> float64 cast and ``float(int)`` both round to nearest,
+        ties to even.
+        """
+        values, idx, exact = self.crt_centered()
+        out = values.astype(np.float64)
+        out[idx] = exact.astype(np.float64)
+        return out

@@ -235,6 +235,16 @@ class CanonicalEncoder:
 
         ``num_slots`` defaults to the plaintext's recorded slot count
         (full packing when it carries none, e.g. fresh decryptions).
+
+        The reconstruction is exact and vectorized
+        (:meth:`~repro.poly.rns_poly.RnsPolynomial.crt_centered`): limbs
+        0 and 1 rebuild each coefficient ``c`` in uint64, and a residue
+        compare against every other limb certifies it, since
+        ``c = r_i (mod q_i)`` for all ``i`` and ``|c| < q0*q1/2 < Q/2``
+        make ``c`` the centered representative mod ``Q``.  Only the
+        coefficients that fail the check (``|c| > q0*q1/2``, e.g. a
+        garbage decrypt) take the big-int path.  The float64 result is
+        bit-identical to ``float()`` of the exact Python ints.
         """
         if pt.ctx.ring_degree != self.n:
             raise ParameterError(
@@ -243,8 +253,7 @@ class CanonicalEncoder:
             )
         if num_slots is None:
             num_slots = pt.slots if pt.slots is not None else self.slots
-        ints = pt.poly.to_coeff().to_int_coeffs(centered=True)
-        coeffs = np.array([float(c) for c in ints], dtype=np.float64)
+        coeffs = pt.poly.to_coeff().to_float_coeffs()
         return self.project(coeffs / pt.scale, num_slots)
 
     def roundtrip_precision(

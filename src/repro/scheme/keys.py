@@ -93,15 +93,24 @@ def sample_error(
 def lift_signed(ctx: PolyContext, coeffs) -> RnsPolynomial:
     """Lift small signed integer coefficients into limb residues.
 
-    ``coeffs[j] mod q_i`` per limb row (Python/NumPy floor-mod, so
-    negatives land in ``[0, q_i)``); the standard embedding of a secret,
-    error, or plaintext polynomial into every RNS basis it must meet.
+    ``coeffs[j] mod q_i`` per limb row (floor-mod, so negatives land in
+    ``[0, q_i)``); the standard embedding of a secret, error, or
+    plaintext polynomial into every RNS basis it must meet.  When every
+    ``|c| < min q_i`` (ternary and error samples) the residue is ``c``
+    or ``c + q_i``, so one broadcast ``c + q * [c < 0]`` (wrapping in
+    uint64) fills the whole limb matrix; larger coefficients take a
+    floor-mod per limb.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
     if coeffs.shape != (ctx.ring_degree,):
         raise LayoutError(
             f"expected {ctx.ring_degree} coefficients, got {coeffs.shape}"
         )
+    q_min = min(ctx.primes)
+    if -q_min < coeffs.min() and coeffs.max() < q_min:
+        limbs = ctx.moduli * (coeffs < 0)
+        limbs += coeffs.view(np.uint64)
+        return RnsPolynomial(ctx, limbs, COEFF)
     limbs = np.empty((ctx.num_limbs, ctx.ring_degree), dtype=np.uint64)
     for i, q in enumerate(ctx.primes):
         limbs[i] = np.mod(coeffs, q).astype(np.uint64)

@@ -38,3 +38,26 @@ def negacyclic_schoolbook(a, b, q: int) -> np.ndarray:
         else:
             out[i % n] -= c  # x^N = -1: degree >= N wraps negated
     return np.array([int(x) % q for x in out], dtype=np.uint64)
+
+
+def crt_reference(primes, limbs, *, centered: bool = True) -> list[int]:
+    """Plain big-int CRT of a ``(L, N)`` residue matrix, column by column.
+
+    Recomputes every lift with ``pow`` and reduces with Python ints: the
+    slow, obviously-correct formula the vectorized decode is checked
+    against.  ``centered`` maps into ``(-Q/2, Q/2]``, else ``[0, Q)``.
+    """
+    big_q = 1
+    for q in primes:
+        big_q *= q
+    out = []
+    for col in np.asarray(limbs).T:
+        x = 0
+        for r, q in zip(col, primes):
+            m = big_q // q
+            x += int(r) * m * pow(m, -1, q)
+        x %= big_q
+        if centered and x > big_q // 2:
+            x -= big_q
+        out.append(x)
+    return out

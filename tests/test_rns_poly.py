@@ -6,13 +6,16 @@ point: the (num_limbs, N) limb layout must be *algebraically invisible*.
 """
 
 import gc
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import negacyclic_schoolbook
+from conftest import crt_reference, negacyclic_schoolbook
 from repro.errors import LayoutError, LevelError, ParameterError
-from repro.poly.rns_poly import COEFF, NTT, PolyContext
+from repro.poly.rns_poly import COEFF, NTT, PolyContext, RnsPolynomial
 from repro.rns.primes import PrimePool, ntt_friendly_primes
 
 N = 16  # tiny ring keeps the exact big-int references fast
@@ -51,6 +54,24 @@ def test_add_sub_negate_match_crt(ctx, rng):
     ]
     assert (-a).to_int_coeffs(centered=False) == [(-x) % big_q for x in ai]
     assert (a - a).to_int_coeffs(centered=False) == [0] * N
+
+
+def test_linear_ops_fold_edge_residues(ctx):
+    """Every pair of residues from {0, 1, q-1, q-2}: the branch-free folds
+    of add / sub / negate (and their in-place forms) equal ``% q``."""
+    q = ctx.moduli
+    edges = np.hstack([q * 0, q * 0 + 1, q - 1, q - 2])
+    a = RnsPolynomial(ctx, np.repeat(edges, 4, axis=1))
+    b = RnsPolynomial(ctx, np.tile(edges, 4))
+    cases = (
+        (a.add(b), (a.limbs + b.limbs) % q),
+        (a.sub(b), (a.limbs + q - b.limbs) % q),
+        (a.negate(), (q - a.limbs) % q),
+    )
+    for got, want in cases:
+        assert np.array_equal(got.limbs, want)
+    c = RnsPolynomial(ctx, a.limbs.copy())
+    assert np.array_equal(c.add_(b).sub_(b).negate_().limbs, (q - a.limbs) % q)
 
 
 def test_multiply_matches_schoolbook_per_limb(ctx, rng):
@@ -485,3 +506,96 @@ def test_automorphism_round_trips_through_crt(ctx, rng):
     half = big_q // 2
     expect = [((c + half) % big_q) - half for c in expect]
     assert got == expect
+
+
+# -- exact vectorized CRT reconstruction ----------------------------------
+#: derandomized with a fixed example budget: the same inputs every run
+CRT_FUZZ = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+CRT_LIMBS = (1, 2, 3, 12, 24)
+
+
+@lru_cache(maxsize=None)
+def _crt_ctx(limbs: int) -> PolyContext:
+    """The paper's limb layout at N=16: one 25-bit terminal, then mains."""
+    pool = PrimePool.generate(N, num_main=23, num_terminal=1, num_aux=0)
+    return PolyContext.from_pool(pool, num_terminal=1, num_main=limbs - 1)
+
+
+def _fast_bound(ctx: PolyContext) -> int:
+    """Largest |x| the two-limb fast path resolves: (q0*q1 - 1) / 2."""
+    return (ctx.primes[0] * (ctx.primes[1] if ctx.num_limbs > 1 else 1)) // 2
+
+
+@st.composite
+def _crt_column(draw, ctx: PolyContext) -> list[int]:
+    """One coefficient's residues: from an integer (certificate and Q/2
+    edges, inside or anywhere beyond the fast range) or drawn directly
+    (each residue 0, 1, q-1 or arbitrary)."""
+    half_p, half_q = _fast_bound(ctx), ctx.modulus // 2
+    kind = draw(st.sampled_from(("edge", "fast", "any", "residues")))
+    if kind == "residues":
+        return [
+            draw(st.sampled_from((0, 1, q - 1)) | st.integers(0, q - 1))
+            for q in ctx.primes
+        ]
+    if kind == "edge":
+        mag = draw(st.sampled_from((0, 1, half_p, half_p + 1, half_q)))
+        x = draw(st.sampled_from((mag, -mag)))
+    else:
+        bound = half_p if kind == "fast" else half_q
+        x = draw(st.integers(-bound, bound))
+    return [x % q for q in ctx.primes]
+
+
+@CRT_FUZZ
+@given(limbs=st.sampled_from(CRT_LIMBS), centered=st.booleans(), data=st.data())
+def test_crt_matches_bigint_reference(limbs, centered, data):
+    ctx = _crt_ctx(limbs)
+    cols = data.draw(st.lists(_crt_column(ctx), min_size=N, max_size=N))
+    poly = RnsPolynomial(ctx, np.array(cols, dtype=np.uint64).T.copy())
+    want = crt_reference(ctx.primes, poly.limbs)
+    assert poly.to_int_coeffs(centered=centered) == crt_reference(
+        ctx.primes, poly.limbs, centered=centered
+    )
+    floats = np.array([float(c) for c in want], dtype=np.float64)
+    assert poly.to_float_coeffs().tobytes() == floats.tobytes()
+    # the certificate resolves exactly the coefficients with |x| < q0*q1/2
+    _, idx, _ = poly.crt_centered()
+    beyond = [j for j, c in enumerate(want) if abs(c) > _fast_bound(ctx)]
+    assert idx.tolist() == beyond
+
+
+@pytest.mark.parametrize("limbs", CRT_LIMBS)
+def test_crt_certificate_boundary(limbs):
+    """+-(q0q1-1)/2 stay on the fast path; +-(q0q1+1)/2 and +-(Q-1)/2 fall
+    back (when L >= 3), and all of them reconstruct exactly."""
+    ctx = _crt_ctx(limbs)
+    half_p, half_q = _fast_bound(ctx), ctx.modulus // 2
+    xs = [half_p, -half_p, half_p + 1, -(half_p + 1), half_q, -half_q, 0, 1]
+    xs += [-1] * (N - len(xs))
+    poly = ctx.from_int_coeffs(xs)
+    assert poly.to_int_coeffs() == [(x + half_q) % ctx.modulus - half_q for x in xs]
+    _, idx, _ = poly.crt_centered()
+    assert idx.tolist() == ([2, 3, 4, 5] if limbs >= 3 else [])
+
+
+@pytest.mark.parametrize("limbs", (3, 12, 24))
+def test_crt_uniform_rows_take_the_exact_fallback(limbs, rng):
+    """A uniformly random element (a garbage decrypt) fails the certificate
+    in every column and still reconstructs exactly, in both conventions."""
+    ctx = _crt_ctx(limbs)
+    poly = ctx.random(rng)
+    _, idx, _ = poly.crt_centered()
+    assert idx.size == N
+    for centered in (True, False):
+        assert poly.to_int_coeffs(centered=centered) == crt_reference(
+            ctx.primes, poly.limbs, centered=centered
+        )
+
+
+def test_crt_lifts_cached_on_context(ctx):
+    lifts = ctx.crt_lifts
+    assert ctx.crt_lifts is lifts
+    for lift, q in zip(lifts, ctx.primes):
+        assert lift % q == 1
+        assert lift % (ctx.modulus // q) == 0

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from conftest import crt_reference
 from repro.errors import (
     KeyError_,
     LayoutError,
@@ -22,9 +23,10 @@ from repro.errors import (
     ParameterError,
     ScaleMismatchError,
 )
-from repro.poly.rns_poly import PolyContext
+from repro.poly.rns_poly import PolyContext, RnsPolynomial
 from repro.rns.primes import PrimePool
 from repro.scheme import (
+    CanonicalEncoder,
     Ciphertext,
     Evaluator,
     KeyGenerator,
@@ -32,6 +34,7 @@ from repro.scheme import (
     ReferenceEvaluator,
     conjugation_element,
     galois_element,
+    lift_signed,
 )
 
 METHODS = ("barrett", "montgomery", "shoup", "smr")
@@ -383,3 +386,71 @@ def test_galois_element_group_facts():
     assert (galois_element(1, n) * galois_element(-1, n)) % (2 * n) == 1
     assert conjugation_element(n) == 2 * n - 1
     assert math.gcd(k1, 2 * n) == 1
+
+
+# -- exact vectorized decode ------------------------------------------------
+def _bigint_decode(encoder, pt, num_slots):
+    """Decode through the exact Python ints: ``float()`` of each one."""
+    ints = crt_reference(pt.ctx.primes, pt.poly.to_coeff().limbs)
+    coeffs = np.array([float(c) for c in ints], dtype=np.float64)
+    return encoder.project(coeffs / pt.scale, num_slots)
+
+
+def test_decode_is_bit_identical_to_the_bigint_formula():
+    """Fresh, post-HMult and garbage (every coefficient on the fallback)
+    plaintexts decode to the same float64 bits as ``float(int)`` of the
+    exact CRT, at full and sparse slot counts, through both decoders."""
+    n = 1024
+    ctx, keygen = _setup(n, "smr")
+    ev, ct1, ct2, _, _ = _encrypt_two(ctx, keygen)
+    sk = keygen.secret
+    garbage = ctx.random(np.random.default_rng(0xBAD))
+    garbage.state.scale = SCALE
+    encoder = CanonicalEncoder(ctx)
+    for pt in (
+        ev.decrypt(ct1, sk),
+        ev.decrypt(ev.rescale(ev.multiply(ct1, ct2)), sk),
+        Plaintext(garbage),
+    ):
+        for num_slots in (4, n // 8, n // 2):
+            got = encoder.decode(pt, num_slots=num_slots)
+            assert got.tobytes() == _bigint_decode(encoder, pt, num_slots).tobytes()
+        ints = crt_reference(pt.ctx.primes, pt.poly.limbs)
+        want = np.array(ints, dtype=np.float64) / pt.scale
+        assert pt.decode().tobytes() == want.tobytes()
+
+
+def test_fresh_decrypt_needs_no_crt_fallback(monkeypatch):
+    """At N=4096, L=12 the two-limb fast path certifies every coefficient
+    of a fresh decrypt: the big-int fallback is never given a column."""
+    n = 4096
+    pool = PrimePool.generate(n, num_main=11, num_terminal=1, num_aux=5)
+    ctx = PolyContext.from_pool(pool, num_terminal=1, num_main=11)
+    aux = [p.value for p in pool.extension_basis(1, 11, dnum=3)]
+    rng = np.random.default_rng(0xFA57)
+    keygen = KeyGenerator(ctx, aux, 3, rng)
+    exact = RnsPolynomial._crt_exact
+
+    def no_fallback(poly, idx):
+        assert idx.size == 0, f"{idx.size} coefficients took the fallback"
+        return exact(poly, idx)
+
+    monkeypatch.setattr(RnsPolynomial, "_crt_exact", no_fallback)
+    encoder = CanonicalEncoder(ctx)
+    values = rng.uniform(-1, 1, n // 2)
+    ev = Evaluator(ctx)
+    ct = ev.encrypt(encoder.encode(values, SCALE), keygen.public, rng)
+    got = encoder.decode(ev.decrypt(ct, keygen.secret))
+    assert np.abs(got - values).max() < E2E_TOL
+
+
+def test_lift_signed_matches_floor_mod_on_both_paths():
+    """Coefficients below min q take the broadcast lift, larger ones the
+    per-limb floor-mod; both equal ``c mod q_i``."""
+    ctx, _ = _setup(256, "smr")
+    q_min = min(ctx.primes)
+    small = [0, 1, -1, q_min - 1, -(q_min - 1)]
+    for coeffs in (small, small + [q_min], small + [-q_min], small + [-(2**40)]):
+        c = np.resize(np.array(coeffs, dtype=np.int64), ctx.ring_degree)
+        want = np.stack([np.mod(c, q) for q in ctx.primes]).astype(np.uint64)
+        assert np.array_equal(lift_signed(ctx, c).limbs, want)
