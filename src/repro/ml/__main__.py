@@ -3,7 +3,7 @@
 Examples::
 
     PYTHONPATH=src python -m repro.ml --json ml_inference.json
-    PYTHONPATH=src python -m repro.ml --backend numpy,sharded --quick
+    PYTHONPATH=src python -m repro.ml --backend numpy,compiled --quick
 
 Exits nonzero when any (model, degree, backend) cell's encrypted-vs-
 plain agreement falls below the threshold.
@@ -15,6 +15,7 @@ import argparse
 import sys
 
 from repro.ml.e2e import AGREEMENT_THRESHOLD, run_e2e, write_artifact
+from repro.poly.backends import BACKEND_TIERS
 
 
 def main(argv=None) -> int:
@@ -26,7 +27,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--backend", default="numpy",
         help="comma-separated execution tiers to sweep "
-        "(numpy, sharded, compiled; unavailable tiers fall back)",
+        f"({', '.join(BACKEND_TIERS)}; unavailable tiers fall back)",
     )
     parser.add_argument("--seed", type=int, default=0,
                         help="split/keys/weights seed")

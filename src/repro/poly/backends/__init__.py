@@ -1,23 +1,15 @@
-"""Backend dispatch layer: numpy / process-sharded / compiled tiers.
+"""Backend dispatch layer: the numpy and compiled tiers.
 
-ROADMAP item 3: every bench cell bottoms out in the batched NTT stage
-kernels and the ``(L_out, L_in, N)`` CRT tensor pass, and both are
-embarrassingly parallel across limbs.  This package escalates those two
-hot paths behind a *bit-exact* dispatch seam with three tiers:
+Every bench cell bottoms out in the batched NTT stage kernels, the
+key-switch inner product and the ``(L_out, L_in, N)`` CRT tensor pass.
+This package escalates those hot paths behind a *bit-exact* dispatch
+seam with two tiers:
 
 ``numpy``
     The existing :class:`~repro.poly.batch_ntt.BatchNTT` stage kernels
     and :class:`~repro.poly.basis_conv.BasisConverter` Shoup chains,
-    unchanged — the always-available reference tier every other tier
+    unchanged — the always-available reference tier the compiled tier
     must bit-match.
-
-``sharded``
-    A persistent ``multiprocessing`` worker pool partitioning the
-    ``(L, N)`` limb matrix by rows over ``multiprocessing.shared_memory``
-    segments (:mod:`repro.poly.backends.sharded`).  Wins only when the
-    machine has cores to spare and ``L*N`` is large enough to amortize
-    the per-op IPC round trip; below :data:`~repro.poly.backends.sharded.
-    shard_min_elements` elements a call falls through to numpy.
 
 ``compiled``
     ctypes-loaded C implementations (:mod:`repro.poly.backends.compiled`)
@@ -37,12 +29,11 @@ variable, else ``numpy``.  Dispatch is *transparent*:
 ``RnsPolynomial`` / ``BasisConverter`` / ``KeySwitcher`` /
 ``CircuitPlan`` never branch on tier, and the sanitizer
 (``REPRO_CHECKED=1``) plus the PR 7 certified stage bounds apply
-identically to every tier (the compiled kernels re-check the per-stage
+identically to both tiers (the compiled kernels re-check the per-stage
 invariant in C and surface violations as
-:class:`~repro.errors.SanitizerError`; sharded workers run the numpy
-kernels, checks included, in-process).
+:class:`~repro.errors.SanitizerError`).
 
-Bit-exactness is the acceptance bar, not an aspiration: every tier's
+Bit-exactness is the acceptance bar, not an aspiration: both tiers'
 NTT outputs are *canonical exact* transforms over the same bit-reversed
 twiddle tables and the converter outputs are the exact CRT residues
 ``X mod p_j``, so equality with the numpy tier is guaranteed by
@@ -59,14 +50,13 @@ from repro.errors import ParameterError
 __all__ = [
     "BACKEND_TIERS",
     "BackendFallbackWarning",
-    "close_backends",
     "make_convert_impl",
     "make_ntt_impl",
     "resolve_backend",
 ]
 
-#: the three dispatch tiers, reference tier first
-BACKEND_TIERS = ("numpy", "sharded", "compiled")
+#: the dispatch tiers, reference tier first
+BACKEND_TIERS = ("numpy", "compiled")
 
 
 class BackendFallbackWarning(RuntimeWarning):
@@ -116,10 +106,6 @@ def make_ntt_impl(engine, tier: str):
         from repro.poly.backends.compiled import make_compiled_ntt
 
         return make_compiled_ntt(engine)
-    if tier == "sharded":
-        from repro.poly.backends.sharded import make_sharded_ntt
-
-        return make_sharded_ntt(engine)
     return None
 
 
@@ -127,31 +113,15 @@ def make_convert_impl(converter, tier: str):
     """Tier implementation for one ``BasisConverter``, or ``None``.
 
     The impl exposes ``convert_core(x_hat, v_row, out)`` with the same
-    fall-through contract as :func:`make_ntt_impl`: the scale step and
-    the exact v-correction term always run in the main process (the
-    v guard needs Python big ints), and the tier takes over the
-    ``(L_out, L_in, N)`` tensor pass + fold.
+    fall-through contract as :func:`make_ntt_impl`: the exact
+    v-correction term always runs in Python (the v guard needs Python
+    big ints), and the tier takes over the ``(L_out, L_in, N)`` tensor
+    pass + fold (an impl may also offer ``scale_core`` for the scale
+    step).
     """
     if tier == "compiled":
         from repro.poly.backends.compiled import make_compiled_convert
 
         return make_compiled_convert(converter)
-    if tier == "sharded":
-        from repro.poly.backends.sharded import make_sharded_convert
-
-        return make_sharded_convert(converter)
     return None
 
-
-def close_backends() -> None:
-    """Release every backend-held OS resource (worker pool, segments).
-
-    Idempotent; also wired to ``atexit`` by the sharded tier itself, so
-    calling it is only needed for deterministic mid-process teardown
-    (tests assert zero shared-memory residue right after this).
-    """
-    import sys
-
-    sharded = sys.modules.get("repro.poly.backends.sharded")
-    if sharded is not None:
-        sharded.close_pool()

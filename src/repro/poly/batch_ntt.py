@@ -96,10 +96,10 @@ class BatchNTT:
             outputs); found via :func:`primitive_root_of_unity` when
             omitted — which picks the same root the per-prime engine picks,
             so the two paths agree either way.
-        backend: execution tier for the hot transforms — ``"numpy"`` /
-            ``"sharded"`` / ``"compiled"`` (:mod:`repro.poly.backends`).
-            ``None`` defers to ``REPRO_BACKEND``, then ``"numpy"``.  Every
-            tier is bit-identical; an unavailable tier degrades back to
+        backend: execution tier for the hot transforms — ``"numpy"`` or
+            ``"compiled"`` (:mod:`repro.poly.backends`).  ``None`` defers
+            to ``REPRO_BACKEND``, then ``"numpy"``.  Both tiers are
+            bit-identical; an unavailable compiled tier degrades back to
             the numpy kernels after one warning.
     """
 

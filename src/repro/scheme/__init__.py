@@ -6,8 +6,9 @@ rotations ride the Galois index-permutation kernels and the hoisted
 :class:`SchemeCostModel` prices each composite op as a sum of the
 already-priced Table-3 kernels.  :class:`CanonicalEncoder` packs complex
 slot vectors through the canonical embedding (rotations become cyclic
-slot shifts), :class:`SlotLinalg` runs the slot-wise workloads (BSGS
-matvec and polynomial evaluation) on top, and
+slot shifts), the internal ``_linalg`` / ``_circuit`` modules run the
+slot-wise workloads (BSGS matvec and polynomial evaluation) and compile
+circuits on top (reached through :class:`repro.CkksContext`), and
 :class:`ReferenceEvaluator` is the exact big-int/CRT plaintext-side
 oracle — now with direct slot semantics — the end-to-end tests compare
 against.
@@ -32,40 +33,11 @@ from repro.scheme.keys import (
 )
 from repro.scheme.reference import ReferenceEvaluator
 
-#: internals as of the PR 10 API redesign, kept importable for one
-#: release behind a warn-once shim (replacement named in the warning)
-_DEPRECATED = {
-    "SlotLinalg": (
-        "repro.scheme._linalg",
-        "CkksContext (cc.matvec / cc.poly_eval / cc.compile)",
-    ),
-    "CircuitTracer": (
-        "repro.scheme._circuit",
-        "CkksContext.compile(build)",
-    ),
-}
-
-
-def __getattr__(name):
-    entry = _DEPRECATED.get(name)
-    if entry is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import importlib
-
-    from repro._compat import warn_once
-
-    module, replacement = entry
-    warn_once(f"repro.scheme.{name}", replacement)
-    return getattr(importlib.import_module(module), name)
-
 __all__ = [
     "DEFAULT_SIGMA",
     "CanonicalEncoder",
     "Ciphertext",
     "CircuitPlan",
-    "CircuitTracer",
     "Evaluator",
     "KeyGenerator",
     "Plaintext",
@@ -73,7 +45,6 @@ __all__ = [
     "ReferenceEvaluator",
     "SchemeCostModel",
     "SecretKey",
-    "SlotLinalg",
     "TracedCiphertext",
     "bsgs_split",
     "conjugation_element",

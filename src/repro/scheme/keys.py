@@ -267,18 +267,19 @@ class KeyGenerator:
     ) -> KeySwitchKey:
         """The ``s^2 -> s`` switching key (cached per level).
 
-        ``s^2`` is computed exactly as the integer negacyclic square of
-        the ternary secret (coefficients bounded by N, so plain int64
-        convolution is exact).
+        ``s^2`` is the ring product of the lifted secret with itself (one
+        NTT-domain multiply), read back from limb 0 centered into
+        ``(-q0/2, q0/2]``.  That is the exact integer negacyclic square:
+        its coefficients are bounded by ``N`` in magnitude, and every
+        prime is ``1 mod 2N``, so ``N < q0/2``.
         """
         base = self._level_ctx(ctx)
         ksk = self._relin.get(tuple(base.primes))
         if ksk is None:
-            s = self.secret.coeffs
-            n = self.ctx.ring_degree
-            full = np.convolve(s, s)
-            s2 = full[:n].copy()
-            s2[: n - 1] -= full[n:]  # X^N = -1 wrap
+            s = self.secret.poly(base)
+            q0 = base.primes[0]
+            r = s.multiply(s).limbs[0].astype(np.int64)
+            s2 = np.where(r > q0 // 2, r - q0, r)
             ksk = self.switching_key(s2, ctx=base)
             self._relin[tuple(base.primes)] = ksk
         return ksk

@@ -1,11 +1,13 @@
 """Backend dispatch: precedence, cross-tier bit-identity, degradation.
 
-The backend contract has six load-bearing claims, each tested here:
+The backend contract has five load-bearing claims, each tested here:
 
-* tier selection follows constructor arg > ``REPRO_BACKEND`` > numpy,
-  children inherit their parent's tier, and unknown names fail loudly;
-* every *available* tier is bit-identical to the numpy reference on the
-  full parity grid (four reducers x N in {1024, 4096} x L in {4, 12}:
+* the tiers are exactly numpy and compiled; selection follows
+  constructor arg > ``REPRO_BACKEND`` > numpy, children inherit their
+  parent's tier, and unknown names fail loudly;
+* the compiled tier, when available, is bit-identical to the numpy
+  reference on the full parity grid (four reducers x N in
+  {1024, 4096} x L in {4, 12}:
   NTT round-trip, multiply, ModUp, ModDown, hybrid key switch), and on
   the key switch's internals: pointwise products, multiply_accumulate,
   the lazy accumulator's pre-fold contents and hoisted rotations; and
@@ -19,17 +21,10 @@ The backend contract has six load-bearing claims, each tested here:
   builds (portable flags);
 * degradation is graceful and loud exactly once — a missing toolchain
   warns a single :class:`BackendFallbackWarning` (not per call) and
-  runs on numpy; a worker crash raises :class:`ShardCrashError` once,
-  then the same context recovers on numpy with correct results;
-* no resource leaks: every shared-memory segment is released after
-  ``close_backends()`` and after plain interpreter exit (atexit), and
-  a crash tears the pool's segments down with it.
+  runs on numpy.
 """
 
-import glob
 import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -39,15 +34,13 @@ from repro.errors import (
     AccumulatorOverflowError,
     ParameterError,
     SanitizerError,
-    ShardCrashError,
 )
 from repro.poly.backends import (
     BACKEND_TIERS,
     BackendFallbackWarning,
-    close_backends,
+    compiled,
     resolve_backend,
 )
-from repro.poly.backends import compiled, sharded
 from repro.poly.basis_conv import HoistedGaloisPlan, KeySwitchKey
 from repro.poly.batch_ntt import BatchNTT
 from repro.poly.lazy import LazyAccumulator
@@ -55,26 +48,12 @@ from repro.poly.ntt import automorphism_tables
 from repro.poly.rns_poly import PolyContext, RnsPolynomial
 from repro.rns.primes import PrimePool, ntt_friendly_primes
 
-_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-
-
-def _shm_residue(pid: int | None = None) -> list[str]:
-    """Live segments for one owning process (default: this one).
-
-    Scoped by pid so a concurrently running pool in another process
-    (or a CI matrix job) cannot fail an unrelated leak check."""
-    owner = os.getpid() if pid is None else pid
-    return glob.glob(f"/dev/shm/repro_shard_{owner}_*")
-
-
 def _available_tiers() -> list[str]:
     tiers = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BackendFallbackWarning)
         if compiled.get_lib() is not None:
             tiers.append("compiled")
-        if sharded.get_pool() is not None:
-            tiers.append("sharded")
     return tiers
 
 
@@ -93,7 +72,7 @@ class TestResolution:
 
     def test_override_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "compiled")
-        assert resolve_backend("sharded") == "sharded"
+        assert resolve_backend("numpy") == "numpy"
 
     @pytest.mark.parametrize("bad", ["cuda", "looped", ""])
     def test_unknown_tier_rejected(self, bad):
@@ -109,10 +88,17 @@ class TestResolution:
             resolve_backend(None)
 
     def test_tier_names_are_closed(self):
-        assert set(BACKEND_TIERS) == {"numpy", "sharded", "compiled"}
+        assert set(BACKEND_TIERS) == {"numpy", "compiled"}
+
+    @pytest.mark.parametrize("via", ["override", "env"])
+    def test_removed_tier_name_rejected(self, via, monkeypatch):
+        # the process-pool tier was deleted; its name is now unknown
+        monkeypatch.setenv("REPRO_BACKEND", "sharded")
+        with pytest.raises(ParameterError, match="numpy, compiled"):
+            resolve_backend("sharded" if via == "override" else None)
 
     def test_context_override_beats_env(self, pool64, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "sharded")
+        monkeypatch.setenv("REPRO_BACKEND", "compiled")
         ctx = PolyContext.from_pool(
             pool64, num_terminal=1, num_main=2, backend="numpy"
         )
@@ -617,100 +603,3 @@ class TestKernelBuild:
         )
         assert compiled._build_lib() == so  # cached: no third compile
         assert len(log.read_text().splitlines()) == 2
-
-
-@pytest.mark.skipif("sharded" not in TIERS, reason="sharded tier down")
-class TestShardedDegradation:
-    def test_worker_crash_names_error_then_recovers_on_numpy(
-        self, pool64, rng, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_SHARD_MIN", "1")
-        sharded._reset()
-        try:
-            ref_ctx = PolyContext.from_pool(
-                pool64, num_terminal=1, num_main=3, backend="numpy"
-            )
-            ctx = PolyContext.from_pool(
-                pool64, num_terminal=1, num_main=3, backend="sharded"
-            )
-            a = ctx.random(rng)
-            expect = ref_ctx.batch_ntt.forward(a.limbs)
-            assert np.array_equal(ctx.batch_ntt.forward(a.limbs), expect)
-
-            pool = sharded.get_pool()
-            assert pool is not None and pool.procs
-            for proc in pool.procs:
-                proc.kill()
-            for proc in pool.procs:
-                proc.wait(timeout=30)
-            with pytest.raises(ShardCrashError, match="worker died"):
-                ctx.batch_ntt.forward(a.limbs)
-            # crash teardown must not leak segments
-            assert _shm_residue() == []
-            # the tier is latched down; the same context keeps working
-            # on the numpy path with identical bits
-            assert np.array_equal(ctx.batch_ntt.forward(a.limbs), expect)
-        finally:
-            sharded._reset()
-
-    def test_close_releases_all_segments(self, pool64, rng, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_MIN", "1")
-        sharded._reset()
-        try:
-            ctx = PolyContext.from_pool(
-                pool64, num_terminal=1, num_main=3, backend="sharded"
-            )
-            a = ctx.random(rng)
-            ctx.batch_ntt.forward(a.limbs)
-            assert _shm_residue() != [], "expected live segments mid-run"
-            close_backends()
-            assert _shm_residue() == []
-            # clean close is not a crash: the tier may come back
-            assert np.array_equal(
-                ctx.batch_ntt.forward(a.limbs),
-                PolyContext.from_pool(
-                    pool64, num_terminal=1, num_main=3, backend="numpy"
-                ).batch_ntt.forward(a.limbs),
-            )
-        finally:
-            sharded._reset()
-
-    def test_interpreter_exit_releases_segments(self):
-        """A process that never calls close_pool must still leave no
-        segments behind — atexit owns the cleanup."""
-        script = (
-            "import numpy as np\n"
-            "from repro.rns.primes import PrimePool\n"
-            "from repro.poly.rns_poly import PolyContext\n"
-            "pool = PrimePool.generate(64, num_main=4, num_terminal=2,"
-            " num_aux=1)\n"
-            "ctx = PolyContext.from_pool(pool, num_terminal=1, num_main=3,"
-            " backend='sharded')\n"
-            "a = ctx.random(np.random.default_rng(0))\n"
-            "ctx.batch_ntt.forward(a.limbs)\n"
-            "import glob, os\n"
-            "print('pid:', os.getpid())\n"
-            "print('segments while live:',"
-            " len(glob.glob(f'/dev/shm/repro_shard_{os.getpid()}_*')))\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = _SRC
-        env["REPRO_SHARD_MIN"] = "1"
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        child_pid = int(
-            next(
-                line.split(":", 1)[1]
-                for line in proc.stdout.splitlines()
-                if line.startswith("pid:")
-            )
-        )
-        assert "segments while live: " in proc.stdout
-        leaked = _shm_residue(child_pid)
-        assert leaked == [], f"interpreter exit leaked segments: {leaked}"

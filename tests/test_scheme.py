@@ -282,6 +282,43 @@ def test_pipeline_is_bit_reproducible_from_one_seed():
     assert np.array_equal(out_a.c1.limbs, out_b.c1.limbs)
 
 
+def _negacyclic_square(s: np.ndarray) -> np.ndarray:
+    """Schoolbook ``s * s mod (X^N + 1)`` over the integers."""
+    n = len(s)
+    full = np.convolve(s, s)
+    s2 = full[:n].copy()
+    s2[: n - 1] -= full[n:]  # X^N = -1 wrap
+    return s2
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("hamming_weight", [None, 12])
+def test_relinearization_key_matches_schoolbook_square(method, hamming_weight):
+    """The ring-product ``s^2`` builds the same key, bit for bit, as the
+    integer convolution, at the keygen level and a rescaled prefix."""
+    n = 64
+    pool = _pool(n)
+    ctx = PolyContext.from_pool(pool, num_terminal=1, num_main=3, method=method)
+    aux = [p.value for p in pool.extension_basis(1, 3, dnum=DNUM)]
+
+    def keygen():
+        return KeyGenerator(
+            ctx, aux, DNUM, np.random.default_rng(0x5EC),
+            hamming_weight=hamming_weight,
+        )
+
+    for level in (ctx, ctx.drop_last()):
+        fast, slow = keygen(), keygen()
+        want = slow.switching_key(
+            _negacyclic_square(slow.secret.coeffs), ctx=level
+        )
+        got = fast.relinearization_key(level)
+        assert len(got.pairs) == len(want.pairs) == DNUM
+        for (gb, ga), (wb, wa) in zip(got.pairs, want.pairs):
+            assert np.array_equal(gb.limbs, wb.limbs)
+            assert np.array_equal(ga.limbs, wa.limbs)
+
+
 # -- state tracking and error surfaces -------------------------------------
 def test_level_and_scale_errors_name_the_problem():
     n = 256
